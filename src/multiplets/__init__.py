@@ -48,7 +48,6 @@ from .measures import (
 from .operators import (
     LabeledOperator,
     SparseOperator,
-    apply,
     commuting_set,
     joint_eigenbasis,
     site_operator,
@@ -61,61 +60,3 @@ from .report import emit_table, run_measures, run_verify
 from .statefile import StateFileError, emit_state_file, parse_state_file
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "NotClosedError",
-    "SignedRadical",
-    "radical_sum",
-    "Spin",
-    "SpinProjection",
-    "HALF",
-    "projections",
-    "triangle_ok",
-    "allowed_couplings",
-    "cg",
-    "Leaf",
-    "Node",
-    "CouplingTree",
-    "all_coupling_trees",
-    "CoupledLabel",
-    "StateVector",
-    "dense_index",
-    "config_to_string",
-    "config_from_string",
-    "enumerate_multiplets",
-    "expand",
-    "full_basis",
-    "recouple",
-    "SparseOperator",
-    "LabeledOperator",
-    "site_operator",
-    "subset_casimir",
-    "total_sz",
-    "apply",
-    "verify_eigenstate",
-    "commuting_set",
-    "joint_eigenbasis",
-    "DensityMatrix",
-    "MeasurementBasis",
-    "MeasurementBranch",
-    "PairReport",
-    "ThreeQubitClass",
-    "partial_trace",
-    "meyer_wallach_q",
-    "concurrence",
-    "three_tangle",
-    "classify_three_qubit",
-    "measure_branches",
-    "persistency",
-    "is_pair_connectable",
-    "maximal_connectedness",
-    "named_state",
-    "available_states",
-    "parse_state_file",
-    "emit_state_file",
-    "StateFileError",
-    "emit_table",
-    "run_verify",
-    "run_measures",
-]

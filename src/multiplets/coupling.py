@@ -266,13 +266,13 @@ class CouplingTree:
         return tuple(names)
 
     @classmethod
-    def parse(cls, spec: str, leaf_spin: Spin = HALF) -> "CouplingTree":
+    def parse(cls, spec: str) -> "CouplingTree":
         """Parse a nested-parentheses tree spec such as "((1 2) (3 4))".
 
         Whitespace is optional except between adjacent indices.
         """
         tokens = _tokenize(spec)
-        node, pos = _parse_node(tokens, 0, leaf_spin)
+        node, pos = _parse_node(tokens, 0)
         if pos != len(tokens):
             raise ValueError(f"trailing input in tree spec {spec!r}")
         return cls(node)
@@ -310,23 +310,22 @@ def _tokenize(spec: str) -> list:
     return tokens
 
 
-def _parse_node(tokens: list, pos: int, leaf_spin: Spin) -> tuple[TreeNode, int]:
+def _parse_node(tokens: list, pos: int) -> tuple[TreeNode, int]:
     if pos >= len(tokens):
         raise ValueError("unexpected end of tree spec")
     tok = tokens[pos]
     if isinstance(tok, int):
-        return Leaf(tok, leaf_spin), pos + 1
+        return Leaf(tok), pos + 1
     if tok != "(":
         raise ValueError(f"expected '(' or index, got {tok!r}")
-    left, pos = _parse_node(tokens, pos + 1, leaf_spin)
-    right, pos = _parse_node(tokens, pos, leaf_spin)
+    left, pos = _parse_node(tokens, pos + 1)
+    right, pos = _parse_node(tokens, pos)
     if pos >= len(tokens) or tokens[pos] != ")":
         raise ValueError("expected ')' closing a coupling pair")
     return Node(left, right), pos + 1
 
 
-def all_coupling_trees(particles: tuple[int, ...] | list[int],
-                       leaf_spin: Spin = HALF) -> list[CouplingTree]:
+def all_coupling_trees(particles: tuple[int, ...] | list[int]) -> list[CouplingTree]:
     """Every binary coupling order over the given particles, deterministically.
 
     Mirror-image duplicates are avoided by always keeping the smallest
@@ -336,7 +335,7 @@ def all_coupling_trees(particles: tuple[int, ...] | list[int],
 
     def build(items: tuple[int, ...]) -> list[TreeNode]:
         if len(items) == 1:
-            return [Leaf(items[0], leaf_spin)]
+            return [Leaf(items[0])]
         head, rest = items[0], items[1:]
         out: list[TreeNode] = []
         for mask in range(1 << len(rest)):
@@ -497,8 +496,11 @@ class StateVector:
         return cls(n, dict(amplitudes), exact=False)
 
     @classmethod
-    def from_array(cls, array: np.ndarray, cutoff: float = 1e-15) -> "StateVector":
-        """Numeric state from a dense array in up-first basis order."""
+    def from_array(cls, array: np.ndarray) -> "StateVector":
+        """Numeric state from a dense array in up-first basis order.
+
+        Amplitudes of magnitude at most 1e-15 are dropped.
+        """
         array = np.asarray(array).ravel()
         n = int(array.size).bit_length() - 1
         if 1 << n != array.size:
@@ -506,7 +508,7 @@ class StateVector:
         amps = {
             dense_index(i, n): complex(a)
             for i, a in enumerate(array)
-            if abs(a) > cutoff
+            if abs(a) > 1e-15
         }
         return cls.numeric_state(n, amps)
 
@@ -528,12 +530,6 @@ class StateVector:
             value = amp.to_float() if self.exact else amp
             arr[dense_index(config, self.n)] = value
         return arr
-
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other> evaluated numerically."""
-        if self.n != other.n:
-            raise ValueError("particle counts differ")
-        return complex(np.vdot(self.to_array(), other.to_array()))
 
     def norm_squared(self) -> Fraction | float:
         if self.exact:
@@ -623,13 +619,12 @@ def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
     return [(label, expand(label)) for label in enumerate_multiplets(tree)]
 
 
-def recouple(label: CoupledLabel, target: CouplingTree,
-             cutoff: float = 1e-12) -> dict[CoupledLabel, float]:
+def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, float]:
     """Coefficients of a coupled state in another tree's coupled basis.
 
     Computed as inner products of the exact expansions, evaluated in
-    floats; coefficients below ``cutoff`` are dropped. Only target labels
-    with the same total S and m can appear.
+    floats; coefficients of magnitude at most 1e-12 are dropped. Only
+    target labels with the same total S and m can appear.
     """
     if set(label.tree.particles()) != set(target.particles()):
         raise ValueError("trees must couple the same particles")
@@ -640,6 +635,6 @@ def recouple(label: CoupledLabel, target: CouplingTree,
                 or target_label.total_m != label.total_m):
             continue
         coeff = float(np.real(np.vdot(expand(target_label).to_array(), source)))
-        if abs(coeff) > cutoff:
+        if abs(coeff) > 1e-12:
             out[target_label] = coeff
     return out

@@ -163,11 +163,10 @@ class SignedRadical:
     def from_json_dict(cls, data: dict) -> "SignedRadical":
         try:
             sign = int(data["sign"])
-            num = int(data["num"])
-            den = int(data["den"])
-        except (KeyError, TypeError, ValueError) as exc:
+            radicand = Fraction(int(data["num"]), int(data["den"]))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed radical {data!r}") from exc
-        return cls(sign, Fraction(num, den))
+        return cls(sign, radicand)
 
     def __str__(self) -> str:
         if self.sign == 0:

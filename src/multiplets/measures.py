@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,10 +34,13 @@ __all__ = [
     "maximal_connectedness",
 ]
 
-# Default tolerance knobs. "Pure"/"product" means reduced purity within
-# PURITY_TOL of 1; a Bell pair means concurrence within BELL_TOL of 1.
+# Fixed tolerances of the classification and both searches. "Pure" or
+# "product" means reduced purity within PURITY_TOL of 1; a Bell pair means
+# concurrence within BELL_TOL of 1; GHZ-class means residual tangle above
+# TANGLE_TOL; branches with probability below PROB_CUTOFF are dropped.
 PURITY_TOL = 1e-9
 BELL_TOL = 1e-9
+TANGLE_TOL = 1e-9
 PROB_CUTOFF = 1e-12
 
 _DM_TOL = 1e-12
@@ -61,6 +64,10 @@ class MeasurementBasis(enum.Enum):
                     ("-", np.array([s, -s], dtype=complex)))
         return (("+i", np.array([s, 1j * s], dtype=complex)),
                 ("-i", np.array([s, -1j * s], dtype=complex)))
+
+
+# Outcome labels and eigenvectors of every basis, built once for the searches.
+_OUTCOMES = {basis: basis.vectors() for basis in MeasurementBasis}
 
 
 class ThreeQubitClass(enum.Enum):
@@ -187,9 +194,7 @@ def three_tangle(psi: StateVector | np.ndarray) -> float:
     return max(0.0, c2_one_rest - c12 ** 2 - c13 ** 2)
 
 
-def classify_three_qubit(psi: StateVector | np.ndarray,
-                         purity_tol: float = PURITY_TOL,
-                         tangle_tol: float = 1e-9) -> ThreeQubitClass:
+def classify_three_qubit(psi: StateVector | np.ndarray) -> ThreeQubitClass:
     """Sort a pure 3-qubit state into product, biseparable, W or GHZ.
 
     All three sites pure means product; exactly one pure site means
@@ -199,12 +204,12 @@ def classify_three_qubit(psi: StateVector | np.ndarray,
     arr, n = _as_array(psi)
     if n != 3:
         raise ValueError(f"classification needs exactly 3 qubits, got {n}")
-    pure_sites = [p >= 1.0 - purity_tol for p in _site_purities(arr, 3)]
+    pure_sites = [p >= 1.0 - PURITY_TOL for p in _site_purities(arr, 3)]
     if all(pure_sites):
         return ThreeQubitClass.PRODUCT
     if sum(pure_sites) == 1:
         return ThreeQubitClass.BISEPARABLE
-    if three_tangle(arr) > tangle_tol:
+    if three_tangle(arr) > TANGLE_TOL:
         return ThreeQubitClass.GHZ
     return ThreeQubitClass.W
 
@@ -229,68 +234,48 @@ def _contract(arr: np.ndarray, n: int, sites: Sequence[int],
     return t.ravel()
 
 
+def _branches(arr: np.ndarray, n: int, sites: Sequence[int],
+              assignment: Sequence[MeasurementBasis],
+              ) -> Iterator[tuple[tuple, float, np.ndarray]]:
+    """Every outcome branch of measuring ``sites`` in the ``assignment`` bases.
+
+    Yields (outcome combination, probability, renormalized post-state on
+    the remaining particles); branches below PROB_CUTOFF are skipped.
+    """
+    for combo in itertools.product(*(_OUTCOMES[basis] for basis in assignment)):
+        sub = _contract(arr, n, sites, [vec for _, vec in combo])
+        prob = float(np.real(np.vdot(sub, sub)))
+        if prob < PROB_CUTOFF:
+            continue
+        yield combo, prob, sub / np.sqrt(prob)
+
+
 def measure_branches(psi: StateVector | np.ndarray, site: int,
-                     basis: MeasurementBasis,
-                     prob_cutoff: float = PROB_CUTOFF) -> list[MeasurementBranch]:
+                     basis: MeasurementBasis) -> list[MeasurementBranch]:
     """Born-rule branches of one single-site projective measurement.
 
     Post-states are renormalized on the remaining particles (original
-    order); branches with probability below the cutoff are dropped.
+    order); branches with probability below PROB_CUTOFF are dropped.
     """
     arr, n = _as_array(psi)
     if not 1 <= site <= n:
         raise ValueError(f"site {site} out of range for {n} particles")
     if n < 2:
         raise ValueError("measuring the only particle leaves no state behind")
-    branches = []
-    for outcome, vec in basis.vectors():
-        sub = _contract(arr, n, [site], [vec])
-        prob = float(np.real(np.vdot(sub, sub)))
-        if prob < prob_cutoff:
-            continue
-        branches.append(MeasurementBranch(
-            probability=prob,
-            outcome=outcome,
-            state=StateVector.from_array(sub / np.sqrt(prob)),
-        ))
-    return branches
+    return [
+        MeasurementBranch(probability=prob, outcome=combo[0][0],
+                          state=StateVector.from_array(post))
+        for combo, prob, post in _branches(arr, n, [site], [basis])
+    ]
 
 
-def _is_fully_product(arr: np.ndarray, n: int, purity_tol: float) -> bool:
+def _is_fully_product(arr: np.ndarray, n: int) -> bool:
     if n <= 1:
         return True
-    return all(p >= 1.0 - purity_tol for p in _site_purities(arr, n))
+    return all(p >= 1.0 - PURITY_TOL for p in _site_purities(arr, n))
 
 
-def _sorted_bases(bases: Iterable[MeasurementBasis]) -> tuple[MeasurementBasis, ...]:
-    order = {MeasurementBasis.Z: 0, MeasurementBasis.X: 1, MeasurementBasis.Y: 2}
-    unique = sorted(set(bases), key=order.__getitem__)
-    if not unique:
-        raise ValueError("need at least one measurement basis")
-    return tuple(unique)
-
-
-def _assignment_disentangles(arr: np.ndarray, n: int, sites: Sequence[int],
-                             assignment: Sequence[MeasurementBasis],
-                             purity_tol: float, prob_cutoff: float) -> bool:
-    """True when every outcome branch of the assignment is fully product."""
-    outcome_sets = [basis.vectors() for basis in assignment]
-    for combo in itertools.product(*outcome_sets):
-        vectors = [vec for _, vec in combo]
-        sub = _contract(arr, n, sites, vectors)
-        prob = float(np.real(np.vdot(sub, sub)))
-        if prob < prob_cutoff:
-            continue
-        if not _is_fully_product(sub / np.sqrt(prob), n - len(sites), purity_tol):
-            return False
-    return True
-
-
-def persistency(psi: StateVector | np.ndarray,
-                bases: Iterable[MeasurementBasis] = tuple(MeasurementBasis),
-                k_max: int | None = None, *,
-                purity_tol: float = PURITY_TOL,
-                prob_cutoff: float = PROB_CUTOFF) -> int | None:
+def persistency(psi: StateVector | np.ndarray, *, k_max: int | None = None) -> int | None:
     """Minimum number of single-site Pauli measurements that always
     leave a fully product state.
 
@@ -304,27 +289,23 @@ def persistency(psi: StateVector | np.ndarray,
         raise ValueError("persistency search is exponential; n <= 6 only")
     if k_max is None:
         k_max = n
-    if _is_fully_product(arr, n, purity_tol):
+    if _is_fully_product(arr, n):
         return 0
-    basis_choices = _sorted_bases(bases)
     for k in range(1, min(k_max, n) + 1):
         for sites in itertools.combinations(range(1, n + 1), k):
-            for assignment in itertools.product(basis_choices, repeat=k):
-                if _assignment_disentangles(arr, n, sites, assignment,
-                                            purity_tol, prob_cutoff):
+            for assignment in itertools.product(MeasurementBasis, repeat=k):
+                if all(_is_fully_product(post, n - k)
+                       for _, _, post in _branches(arr, n, sites, assignment)):
                     return k
     return None
 
 
 def is_pair_connectable(psi: StateVector | np.ndarray, i: int, j: int,
-                        bases: Iterable[MeasurementBasis] = tuple(MeasurementBasis), *,
-                        bell_tol: float = BELL_TOL,
-                        prob_cutoff: float = PROB_CUTOFF,
                         ) -> tuple[bool, tuple[tuple[int, MeasurementBasis], ...] | None]:
     """Can measuring all other sites always project (i, j) onto a Bell pair?
 
     Tries every Pauli basis assignment on the complement; a witness
-    assignment must give concurrence within ``bell_tol`` of 1 on every
+    assignment must give concurrence within BELL_TOL of 1 on every
     nonzero-probability branch. Returns (verdict, witness or None); the
     search order makes the witness deterministic.
     """
@@ -334,20 +315,9 @@ def is_pair_connectable(psi: StateVector | np.ndarray, i: int, j: int,
     if n - 2 < 1:
         raise ValueError("need at least one particle outside the pair")
     others = [k for k in range(1, n + 1) if k not in (i, j)]
-    basis_choices = _sorted_bases(bases)
-    for assignment in itertools.product(basis_choices, repeat=len(others)):
-        outcome_sets = [basis.vectors() for basis in assignment]
-        ok = True
-        for combo in itertools.product(*outcome_sets):
-            vectors = [vec for _, vec in combo]
-            sub = _contract(arr, n, others, vectors)
-            prob = float(np.real(np.vdot(sub, sub)))
-            if prob < prob_cutoff:
-                continue
-            if _pure_pair_concurrence(sub / np.sqrt(prob)) < 1.0 - bell_tol:
-                ok = False
-                break
-        if ok:
+    for assignment in itertools.product(MeasurementBasis, repeat=len(others)):
+        if not any(_pure_pair_concurrence(post) < 1.0 - BELL_TOL
+                   for _, _, post in _branches(arr, n, others, assignment)):
             return True, tuple(zip(others, assignment))
     return False, None
 
@@ -359,15 +329,13 @@ class PairReport:
     witness: tuple[tuple[int, MeasurementBasis], ...] | None
 
 
-def maximal_connectedness(psi: StateVector | np.ndarray,
-                          bases: Iterable[MeasurementBasis] = tuple(MeasurementBasis),
-                          ) -> tuple[bool, list[PairReport]]:
+def maximal_connectedness(psi: StateVector | np.ndarray) -> tuple[bool, list[PairReport]]:
     """Whether every unordered pair is connectable, with per-pair detail."""
     arr, n = _as_array(psi)
     if n > 6:
         raise ValueError("connectedness search is exponential; n <= 6 only")
     reports = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        connected, witness = is_pair_connectable(arr, i, j, bases)
+        connected, witness = is_pair_connectable(arr, i, j)
         reports.append(PairReport((i, j), connected, witness))
     return all(r.connected for r in reports), reports

@@ -20,7 +20,6 @@ __all__ = [
     "site_operator",
     "subset_casimir",
     "total_sz",
-    "apply",
     "verify_eigenstate",
     "LabeledOperator",
     "commuting_set",
@@ -41,28 +40,18 @@ class SparseOperator:
     """A sparse operator on the 2**n dimensional qubit space."""
 
     matrix: sp.csr_matrix
-    hermitian: bool = True
 
     def __post_init__(self) -> None:
         rows, cols = self.matrix.shape
         if rows != cols:
             raise ValueError("operator matrix must be square")
-        if self.hermitian:
-            defect = abs(self.matrix - self.matrix.getH())
-            if defect.nnz and defect.max() > _HERMITIAN_TOL:
-                raise ValueError("operator flagged Hermitian is not")
+        defect = abs(self.matrix - self.matrix.getH())
+        if defect.nnz and defect.max() > _HERMITIAN_TOL:
+            raise ValueError("operator is not Hermitian")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def entries(self) -> dict[tuple[int, int], complex]:
-        coo = self.matrix.tocoo()
-        return {
-            (int(r), int(c)): complex(v)
-            for r, c, v in zip(coo.row, coo.col, coo.data)
-        }
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -73,19 +62,6 @@ class SparseOperator:
         if arr.shape != (self.dim,):
             raise ValueError(f"state has dimension {arr.shape}, operator {self.dim}")
         return self.matrix @ arr
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        if not isinstance(other, SparseOperator):
-            return NotImplemented
-        return SparseOperator(
-            (self.matrix + other.matrix).tocsr(),
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        if not isinstance(other, SparseOperator):
-            return NotImplemented
-        return SparseOperator((self.matrix @ other.matrix).tocsr(), hermitian=False)
 
 
 def site_operator(n: int, k: int, axis: str) -> SparseOperator:
@@ -122,10 +98,6 @@ def total_sz(n: int) -> SparseOperator:
     for k in range(1, n + 1):
         total = total + site_operator(n, k, "z").matrix
     return SparseOperator(total.tocsr())
-
-
-def apply(op: SparseOperator, psi: StateVector | np.ndarray) -> np.ndarray:
-    return op.apply(psi)
 
 
 def verify_eigenstate(op: SparseOperator, psi: StateVector | np.ndarray,

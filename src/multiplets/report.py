@@ -9,6 +9,7 @@ terms are sorted by descending configuration (all-up first).
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -55,12 +56,7 @@ def default_tolerance() -> float:
 
 
 def _amp_text(amp: SignedRadical) -> str:
-    if amp.sign == 0:
-        return "0"
-    sign = "-" if amp.sign < 0 else "+"
-    if amp.is_rational():
-        return sign + str(abs(amp.as_rational()))
-    return f"{sign}sqrt({amp.radicand})"
+    return ("+" if amp.sign > 0 else "") + str(amp)
 
 
 def _frac_latex(value) -> str:
@@ -101,42 +97,24 @@ def _label_latex(label: CoupledLabel) -> str:
     return r"\left|" + sep.join(parts) + r"\right\rangle"
 
 
-def _row_terms(state: StateVector) -> list[tuple[int, SignedRadical]]:
-    return state.items()
-
-
 # --------------------------------------------------------------------------
-# Table emission
+# Rows and tables
 
 
-def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:
-    """All coupled states of a tree, one row per multiplet member."""
-    basis = full_basis(tree)
-    if fmt == "json":
-        rows = [_row_json(label, state) for label, state in basis]
-        doc = {"tree": tree.spec(), "rows": rows}
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-    if fmt == "latex":
-        lines = [r"\begin{eqnarray}"]
-        for label, state in basis:
-            terms = "".join(
-                f"{_amp_latex(amp)}\\,{_ket_latex(config, state.n)}"
-                for config, amp in _row_terms(state)
-            ).lstrip("+")
-            lines.append(rf"{_label_latex(label)} &=& {terms}\\")
-        lines[-1] = lines[-1][:-2]
-        lines.append(r"\end{eqnarray}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "text":
-        lines = [f"# coupled basis of tree {tree.spec()}"]
-        for label, state in basis:
-            terms = "  ".join(
-                f"{_amp_text(amp)}|{config_to_string(config, state.n)}>"
-                for config, amp in _row_terms(state)
-            )
-            lines.append(f"{label}  :  {terms}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown table format {fmt!r}")
+def _row_text(label: CoupledLabel, state: StateVector) -> str:
+    terms = "  ".join(
+        f"{_amp_text(amp)}|{config_to_string(config, state.n)}>"
+        for config, amp in state.items()
+    )
+    return f"{label}  :  {terms}"
+
+
+def _row_latex(label: CoupledLabel, state: StateVector, eq: str) -> str:
+    terms = "".join(
+        f"{_amp_latex(amp)}\\,{_ket_latex(config, state.n)}"
+        for config, amp in state.items()
+    ).lstrip("+")
+    return rf"{_label_latex(label)} {eq} {terms}"
 
 
 def _row_json(label: CoupledLabel, state: StateVector) -> dict:
@@ -147,29 +125,40 @@ def _row_json(label: CoupledLabel, state: StateVector) -> dict:
                 "config": config_to_string(config, state.n),
                 "amp": amp.to_json_dict(),
             }
-            for config, amp in _row_terms(state)
+            for config, amp in state.items()
         ],
     }
+
+
+def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:
+    """All coupled states of a tree, one row per multiplet member."""
+    basis = full_basis(tree)
+    if fmt == "json":
+        rows = [_row_json(label, state) for label, state in basis]
+        text = json.dumps({"tree": tree.spec(), "rows": rows}, indent=2)
+    elif fmt == "latex":
+        rows = [_row_latex(label, state, "&=&") for label, state in basis]
+        text = "\n".join([r"\begin{eqnarray}", (r"\\" + "\n").join(rows), r"\end{eqnarray}"])
+    elif fmt == "text":
+        rows = [_row_text(label, state) for label, state in basis]
+        text = "\n".join([f"# coupled basis of tree {tree.spec()}"] + rows)
+    else:
+        raise ValueError(f"unknown table format {fmt!r}")
+    return (text + "\n").encode("utf-8")
 
 
 def emit_state_row(label: CoupledLabel, fmt: str = "text") -> bytes:
     """One expanded coupled state in any of the table formats."""
     state = expand(label)
     if fmt == "json":
-        return (json.dumps(_row_json(label, state), indent=2) + "\n").encode("utf-8")
-    if fmt == "latex":
-        terms = "".join(
-            f"{_amp_latex(amp)}\\,{_ket_latex(config, state.n)}"
-            for config, amp in _row_terms(state)
-        ).lstrip("+")
-        return (rf"{_label_latex(label)} = {terms}" + "\n").encode("utf-8")
-    if fmt == "text":
-        terms = "  ".join(
-            f"{_amp_text(amp)}|{config_to_string(config, state.n)}>"
-            for config, amp in _row_terms(state)
-        )
-        return (f"{label}  :  {terms}\n").encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}")
+        text = json.dumps(_row_json(label, state), indent=2)
+    elif fmt == "latex":
+        text = _row_latex(label, state, "=")
+    elif fmt == "text":
+        text = _row_text(label, state)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return (text + "\n").encode("utf-8")
 
 
 def emit_recoupling(coefficients: dict[CoupledLabel, float]) -> bytes:
@@ -195,6 +184,8 @@ def run_verify(tree: CouplingTree, tol: float | None = None) -> dict:
         raise ValueError("verification supports at most 10 particles")
     if tol is None:
         tol = default_tolerance()
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     members = commuting_set(tree)
     results = []
     all_ok = True

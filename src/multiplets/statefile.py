@@ -12,6 +12,7 @@ parsing rejects non-normalized data rather than renormalizing.
 from __future__ import annotations
 
 import json
+import math
 
 from .coupling import StateVector, config_from_string, config_to_string
 from .exactnum import SignedRadical
@@ -28,7 +29,7 @@ def parse_state_file(data: bytes | str) -> StateVector:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StateFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError("state file must be a JSON object")
@@ -36,7 +37,7 @@ def parse_state_file(data: bytes | str) -> StateVector:
         n = int(doc["n"])
         flavor = doc["flavor"]
         entries = doc["amplitudes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"missing or malformed field: {exc}") from exc
     if flavor not in ("exact", "numeric"):
         raise StateFileError(f"flavor must be 'exact' or 'numeric', got {flavor!r}")
@@ -62,7 +63,7 @@ def parse_state_file(data: bytes | str) -> StateVector:
         if flavor == "exact":
             return StateVector.exact_state(n, amplitudes)
         return StateVector.numeric_state(n, amplitudes)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(str(exc)) from exc
 
 
@@ -77,9 +78,12 @@ def _parse_amp(raw: object, flavor: str) -> object:
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise StateFileError(f"numeric amplitude must be {{re, im}}, got {raw!r}")
     try:
-        return complex(float(raw["re"]), float(raw["im"]))
-    except (TypeError, ValueError) as exc:
+        real, imag = float(raw["re"]), float(raw["im"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"bad numeric amplitude {raw!r}") from exc
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise StateFileError(f"non-finite numeric amplitude {raw!r}")
+    return complex(real, imag)
 
 
 def emit_state_file(state: StateVector) -> bytes:

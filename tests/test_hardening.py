@@ -1,0 +1,115 @@
+"""Malformed input ends in one ``error:`` line and exit 1: never a
+traceback, and never a silent NaN with exit 0."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from multiplets.cli import main
+from multiplets.exactnum import SignedRadical
+from multiplets.report import TOLERANCE_ENV_VAR
+from multiplets.statefile import StateFileError, parse_state_file
+
+
+def _run_cli_error(capsys, argv) -> str:
+    """Run argv, assert the one-line error contract, return the line."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def _measure_file(tmp_path, capsys, doc) -> str:
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    return _run_cli_error(capsys, ["measure", "--file", str(path)])
+
+
+class TestStateFileHardening:
+    @pytest.mark.parametrize(
+        "value", ["nan", "inf", "-inf", pytest.param(float("nan"), id="NaN")])
+    def test_non_finite_numeric_amplitude(self, tmp_path, capsys, value):
+        doc = {"n": 2, "flavor": "numeric", "amplitudes": [
+            {"config": "ud", "amp": {"re": value, "im": 0.0}},
+            {"config": "du", "amp": {"re": 1.0, "im": 0.0}},
+        ]}
+        assert "non-finite" in _measure_file(tmp_path, capsys, doc)
+
+    def test_non_finite_numeric_amplitude_raises_state_file_error(self):
+        doc = {"n": 1, "flavor": "numeric",
+               "amplitudes": [{"config": "u", "amp": {"re": 1.0, "im": "nan"}}]}
+        with pytest.raises(StateFileError, match="non-finite"):
+            parse_state_file(json.dumps(doc))
+
+    def test_zero_denominator(self, tmp_path, capsys):
+        doc = {"n": 1, "flavor": "exact", "amplitudes": [
+            {"config": "u", "amp": {"sign": 1, "num": "1", "den": "0"}},
+        ]}
+        assert "malformed radical" in _measure_file(tmp_path, capsys, doc)
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="malformed radical"):
+            SignedRadical.from_json_dict({"sign": 1, "num": "1", "den": "0"})
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(StateFileError):
+            parse_state_file("[" * 100_000 + "]" * 100_000)
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from(["0", "1", "2", "-1", "nan", "inf", "1e999", "u", "ud", "du"]),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
+_small = st.one_of(st.integers(-2, 4), st.integers(-2, 4).map(str), _values)
+_amps = st.one_of(
+    st.fixed_dictionaries({"sign": _small, "num": _small, "den": _small}),
+    st.fixed_dictionaries({"re": _values, "im": _values}),
+    _values,
+)
+_entries = st.one_of(
+    st.fixed_dictionaries({"config": st.one_of(st.text("ud", max_size=3), _values),
+                           "amp": _amps}),
+    _values,
+)
+_documents = st.one_of(
+    st.fixed_dictionaries({
+        "n": st.one_of(st.integers(0, 3), _values),
+        "flavor": st.one_of(st.sampled_from(["exact", "numeric"]), _values),
+        "amplitudes": st.lists(_entries, max_size=4),
+    }),
+    _values,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_parse_state_file_raises_only_value_errors(doc):
+    try:
+        parse_state_file(json.dumps(doc))
+    except ValueError:
+        pass
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+    def test_tol_flag(self, capsys, tol):
+        err = _run_cli_error(capsys, ["verify", "(1 2)", f"--tol={tol}"])
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tol_env_var(self, monkeypatch, capsys, tol):
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, tol)
+        err = _run_cli_error(capsys, ["verify", "(1 2)"])
+        assert "tolerance" in err
+
+    def test_zero_tol_accepted(self, capsys):
+        assert main(["verify", "(1 2)", "--tol=0"]) == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == 0.0

@@ -13,7 +13,6 @@ from multiplets.coupling import (
 )
 from multiplets.operators import (
     SparseOperator,
-    apply,
     commuting_set,
     joint_eigenbasis,
     site_operator,
@@ -68,7 +67,7 @@ class TestSiteOperator:
 
         bad = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(ValueError):
-            SparseOperator(bad, hermitian=True)
+            SparseOperator(bad)
 
 
 class TestCasimir:
@@ -131,7 +130,7 @@ class TestApply:
 
         eye = SparseOperator(sp.identity(4, dtype=complex, format="csr"))
         state = named_state("singlet")
-        np.testing.assert_array_equal(apply(eye, state), state.to_array())
+        np.testing.assert_array_equal(eye.apply(state), state.to_array())
 
     def test_pair_casimir_on_singlet_times_rest(self):
         state = expand(label_of(PAIR_PAIR, 0, 1, 1, 1))  # singlet x uu
