@@ -4,6 +4,13 @@ Covers reduced density matrices, the Meyer-Wallach global measure in its
 single-site linear-entropy form, Wootters concurrence, the residual
 three-tangle, projective measurement branching over the three Pauli
 bases, persistency of entanglement and pairwise connectedness searches.
+
+The searches enumerate measurement branches in one batched contraction per
+site set (``_all_branches``): k ``tensordot`` calls against the stacked
+(basis, outcome, component) projector give every outcome of every Pauli
+basis assignment of the k measured sites at once. That tensor holds
+6**k * 2**(n-k) complex values per site set, which is why the searches
+accept at most MAX_SEARCH_QUBITS particles.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +50,9 @@ BELL_TOL = 1e-9
 TANGLE_TOL = 1e-9
 PROB_CUTOFF = 1e-12
 
+# Largest particle count the persistency and connectedness searches accept.
+MAX_SEARCH_QUBITS = 6
+
 _DM_TOL = 1e-12
 
 
@@ -66,8 +76,11 @@ class MeasurementBasis(enum.Enum):
                 ("-i", np.array([s, -1j * s], dtype=complex)))
 
 
-# Outcome labels and eigenvectors of every basis, built once for the searches.
+# Outcome labels and eigenvectors of every basis, built once for the searches,
+# and the conjugated vectors stacked as (basis, outcome, component).
 _OUTCOMES = {basis: basis.vectors() for basis in MeasurementBasis}
+_PROJECTOR = np.array([[vec.conj() for _, vec in _OUTCOMES[basis]]
+                       for basis in MeasurementBasis])
 
 
 class ThreeQubitClass(enum.Enum):
@@ -161,13 +174,20 @@ _SY_SY = np.array([
 
 
 def concurrence(rho: DensityMatrix | np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
+    """Wootters concurrence of a two-qubit density matrix.
+
+    C = max(0, l1 - l2 - l3 - l4), with l the decreasing eigenvalues of the
+    Hermitian matrix sqrt(sqrt(rho) rho~ sqrt(rho)), where
+    rho~ = (Y x Y) rho* (Y x Y) (Wootters, PRL 80, 2245 (1998)).
+    """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError("concurrence needs a 4x4 two-qubit density matrix")
+    w, v = np.linalg.eigh(m)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     rho_tilde = _SY_SY @ m.conj() @ _SY_SY
-    eigvals = np.linalg.eigvals(m @ rho_tilde)
-    lams = np.sort(np.sqrt(np.abs(np.real(eigvals))))[::-1]
+    eigvals = np.linalg.eigvalsh(root @ rho_tilde @ root)
+    lams = np.sqrt(np.clip(eigvals, 0.0, None))[::-1]
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
@@ -221,33 +241,31 @@ class MeasurementBranch:
     state: StateVector
 
 
-def _contract(arr: np.ndarray, n: int, sites: Sequence[int],
-              vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Project the given sites onto outcome vectors; unnormalized result.
+def _all_branches(arr: np.ndarray, n: int, sites: Sequence[int],
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Every outcome branch of measuring ``sites`` in every Pauli assignment.
 
-    Contracting higher axes first keeps the remaining axis numbers valid;
-    the surviving axes stay in particle order.
+    Returns (probs, posts) of shapes (3**k, 2**k) and (3**k, 2**k, 2**(n-k)):
+    the Born probability and the renormalized post-state on the remaining
+    particles (original order), NaN where the probability is 0. Rows follow
+    ``itertools.product(MeasurementBasis, repeat=k)`` over the sites in
+    ascending order; outcomes within a row follow the product of each
+    basis's outcomes.
     """
-    t = arr.reshape([2] * n)
-    for site, vec in sorted(zip(sites, vectors), key=lambda sv: -sv[0]):
-        t = np.tensordot(t, vec.conj(), axes=([site - 1], [0]))
-    return t.ravel()
-
-
-def _branches(arr: np.ndarray, n: int, sites: Sequence[int],
-              assignment: Sequence[MeasurementBasis],
-              ) -> Iterator[tuple[tuple, float, np.ndarray]]:
-    """Every outcome branch of measuring ``sites`` in the ``assignment`` bases.
-
-    Yields (outcome combination, probability, renormalized post-state on
-    the remaining particles); branches below PROB_CUTOFF are skipped.
-    """
-    for combo in itertools.product(*(_OUTCOMES[basis] for basis in assignment)):
-        sub = _contract(arr, n, sites, [vec for _, vec in combo])
-        prob = float(np.real(np.vdot(sub, sub)))
-        if prob < PROB_CUTOFF:
-            continue
-        yield combo, prob, sub / np.sqrt(prob)
+    k = len(sites)
+    measured = sorted((site - 1 for site in sites), reverse=True)
+    rest = [q for q in range(n) if q not in measured]
+    t = arr.reshape([2] * n).transpose(measured + rest)
+    # Contract the highest site first; each step appends (basis, outcome) axes.
+    for _ in range(k):
+        t = np.tensordot(t, _PROJECTOR, axes=([0], [2]))
+    t = t.reshape((1 << (n - k),) + (3, 2) * k)
+    bases = list(range(2 * k - 1, 0, -2))  # ascending sites
+    outcomes = [axis + 1 for axis in bases]
+    posts = t.transpose(bases + outcomes + [0]).reshape(3 ** k, 1 << k, 1 << (n - k))
+    probs = np.einsum("rci,rci->rc", posts.conj(), posts).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return probs, posts / np.sqrt(probs)[..., None]
 
 
 def measure_branches(psi: StateVector | np.ndarray, site: int,
@@ -262,17 +280,37 @@ def measure_branches(psi: StateVector | np.ndarray, site: int,
         raise ValueError(f"site {site} out of range for {n} particles")
     if n < 2:
         raise ValueError("measuring the only particle leaves no state behind")
+    probs, posts = _all_branches(arr, n, [site])
+    row = list(MeasurementBasis).index(basis)
     return [
-        MeasurementBranch(probability=prob, outcome=combo[0][0],
+        MeasurementBranch(probability=float(prob), outcome=label,
                           state=StateVector.from_array(post))
-        for combo, prob, post in _branches(arr, n, [site], [basis])
+        for (label, _), prob, post in zip(_OUTCOMES[basis], probs[row], posts[row])
+        if not prob < PROB_CUTOFF
     ]
 
 
-def _is_fully_product(arr: np.ndarray, n: int) -> bool:
-    if n <= 1:
-        return True
-    return all(p >= 1.0 - PURITY_TOL for p in _site_purities(arr, n))
+def _fully_product(states: np.ndarray, m: int) -> np.ndarray:
+    """Which of the m-qubit ``states`` (last axis) have every single-site
+    reduced purity at least 1 - PURITY_TOL; states on one qubit always do.
+
+    A site's reduced matrix has the weights w0, w1 of its two values on
+    the diagonal and r = sum a0 conj(a1) off it, so its purity is
+    w0**2 + w1**2 + 2 |r|**2.
+    """
+    if m <= 1:
+        return np.ones(states.shape[:-1], dtype=bool)
+    flat = states.reshape(-1, 1 << m)
+    weights = flat.real ** 2 + flat.imag ** 2
+    product = np.ones(len(flat), dtype=bool)
+    for site in range(m):
+        shape = (len(flat), 1 << site, 2, 1 << (m - 1 - site))
+        diag = weights.reshape(shape).sum(axis=(1, 3))
+        t = flat.reshape(shape)
+        off = np.einsum("xab,xab->x", t[:, :, 0], t[:, :, 1].conj())
+        purity = (diag ** 2).sum(axis=1) + 2.0 * (off.real ** 2 + off.imag ** 2)
+        product &= purity >= 1.0 - PURITY_TOL
+    return product.reshape(states.shape[:-1])
 
 
 def persistency(psi: StateVector | np.ndarray, *, k_max: int | None = None) -> int | None:
@@ -285,18 +323,20 @@ def persistency(psi: StateVector | np.ndarray, *, k_max: int | None = None) -> i
     the Pauli bases makes this an upper bound on the unrestricted notion.
     """
     arr, n = _as_array(psi)
-    if n > 6:
-        raise ValueError("persistency search is exponential; n <= 6 only")
+    if n > MAX_SEARCH_QUBITS:
+        raise ValueError(f"persistency search is exponential; n <= {MAX_SEARCH_QUBITS} only")
     if k_max is None:
         k_max = n
-    if _is_fully_product(arr, n):
+    if _fully_product(arr, n):
         return 0
     for k in range(1, min(k_max, n) + 1):
+        if n - k <= 1:
+            return k  # a post-state on at most one particle is product
         for sites in itertools.combinations(range(1, n + 1), k):
-            for assignment in itertools.product(MeasurementBasis, repeat=k):
-                if all(_is_fully_product(post, n - k)
-                       for _, _, post in _branches(arr, n, sites, assignment)):
-                    return k
+            probs, posts = _all_branches(arr, n, sites)
+            product = _fully_product(posts, n - k)
+            if ((probs < PROB_CUTOFF) | product).all(axis=1).any():
+                return k
     return None
 
 
@@ -307,19 +347,24 @@ def is_pair_connectable(psi: StateVector | np.ndarray, i: int, j: int,
     Tries every Pauli basis assignment on the complement; a witness
     assignment must give concurrence within BELL_TOL of 1 on every
     nonzero-probability branch. Returns (verdict, witness or None); the
-    search order makes the witness deterministic.
+    witness is the first such assignment in product order.
     """
     arr, n = _as_array(psi)
+    if n > MAX_SEARCH_QUBITS:
+        raise ValueError(f"connectedness search is exponential; n <= {MAX_SEARCH_QUBITS} only")
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad pair ({i}, {j}) for {n} particles")
     if n - 2 < 1:
         raise ValueError("need at least one particle outside the pair")
     others = [k for k in range(1, n + 1) if k not in (i, j)]
-    for assignment in itertools.product(MeasurementBasis, repeat=len(others)):
-        if not any(_pure_pair_concurrence(post) < 1.0 - BELL_TOL
-                   for _, _, post in _branches(arr, n, others, assignment)):
-            return True, tuple(zip(others, assignment))
-    return False, None
+    probs, pairs = _all_branches(arr, n, others)
+    conc = 2.0 * np.abs(pairs[..., 0] * pairs[..., 3] - pairs[..., 1] * pairs[..., 2])
+    failing = ~(probs < PROB_CUTOFF) & (conc < 1.0 - BELL_TOL)
+    rows = np.flatnonzero(~failing.any(axis=1))
+    if rows.size == 0:
+        return False, None
+    assignments = itertools.product(MeasurementBasis, repeat=len(others))
+    return True, tuple(zip(others, next(itertools.islice(assignments, int(rows[0]), None))))
 
 
 @dataclass(frozen=True)
@@ -332,8 +377,8 @@ class PairReport:
 def maximal_connectedness(psi: StateVector | np.ndarray) -> tuple[bool, list[PairReport]]:
     """Whether every unordered pair is connectable, with per-pair detail."""
     arr, n = _as_array(psi)
-    if n > 6:
-        raise ValueError("connectedness search is exponential; n <= 6 only")
+    if n > MAX_SEARCH_QUBITS:
+        raise ValueError(f"connectedness search is exponential; n <= {MAX_SEARCH_QUBITS} only")
     reports = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
         connected, witness = is_pair_connectable(arr, i, j)

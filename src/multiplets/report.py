@@ -24,6 +24,7 @@ from .coupling import (
 )
 from .exactnum import SignedRadical
 from .measures import (
+    MAX_SEARCH_QUBITS,
     MeasurementBasis,
     classify_three_qubit,
     maximal_connectedness,
@@ -216,16 +217,23 @@ def run_measures(state: StateVector, name: str | None = None,
                  z_branches: bool = False) -> dict:
     """Entanglement report: Q, persistency, connectedness, pair detail.
 
-    With ``z_branches`` (meant for 4-qubit states) the report also
-    classifies the 3-qubit branches of a Z measurement on each site.
+    Above MAX_SEARCH_QUBITS particles the two searches are skipped: their
+    fields are null and ``skipped`` names them. With ``z_branches`` (meant
+    for 4-qubit states) the report also classifies the 3-qubit branches of
+    a Z measurement on each site.
     """
+    searchable = state.n <= MAX_SEARCH_QUBITS
     report: dict = {
         "name": name,
         "n": state.n,
         "q": meyer_wallach_q(state),
-        "persistency": persistency(state),
+        "persistency": persistency(state) if searchable else None,
     }
-    if state.n >= 3:
+    if not searchable:
+        report["maximally_connected"] = None
+        report["pairs"] = None
+        report["skipped"] = ["persistency", "connectedness"]
+    elif state.n >= 3:
         connected, pairs = maximal_connectedness(state)
         report["maximally_connected"] = connected
         report["pairs"] = [

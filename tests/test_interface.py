@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multiplets.cli import main
-from multiplets.coupling import CouplingTree, config_from_string
+from multiplets.coupling import CouplingTree, StateVector, config_from_string
 from multiplets.registry import available_states, named_state
 from multiplets.report import (
     TOLERANCE_ENV_VAR,
@@ -252,6 +252,23 @@ class TestCli:
         assert main(["measure", "--file", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["q"] == pytest.approx(1.0)
+
+    def test_measure_file_above_search_limit_skips_searches(self, tmp_path, capsys):
+        # W7: Q = 2 (1 - (1 + 6^2) / 7^2) = 24/49; the searches stop at n = 6.
+        configs = ["u" if i == j else "d" for j in range(7) for i in range(7)]
+        amps = {config_from_string("".join(configs[7 * i:7 * i + 7])): 7 ** -0.5
+                for i in range(7)}
+        path = tmp_path / "w7.json"
+        path.write_bytes(emit_state_file(StateVector.numeric_state(7, amps)))
+        assert main(["measure", "--file", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert report["n"] == 7
+        assert report["q"] == pytest.approx(24 / 49, abs=1e-12)
+        assert report["persistency"] is None
+        assert report["maximally_connected"] is None
+        assert report["skipped"] == ["persistency", "connectedness"]
 
     def test_measure_requires_exactly_one_source(self, capsys):
         assert main(["measure"]) == 1

@@ -173,6 +173,22 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             concurrence(np.eye(8) / 8)
 
+    def test_matches_pure_state_formula_on_random_states(self):
+        # Three vanishing eigenvalues pass through a square root: ~1e-8 noise.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            vec /= np.linalg.norm(vec)
+            oracle = 2 * abs(vec[0] * vec[3] - vec[1] * vec[2])
+            assert concurrence(np.outer(vec, vec.conj())) == pytest.approx(oracle, abs=1e-7)
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.4, 0.5, 0.75, 0.9, 1.0])
+    def test_werner_state(self, p):
+        # p |singlet><singlet| + (1 - p) I/4 has C = max(0, (3p - 1)/2).
+        bell = named_state("singlet").to_array()
+        rho = p * np.outer(bell, bell.conj()) + (1 - p) * np.eye(4) / 4
+        assert concurrence(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-12)
+
 
 def hyperdeterminant_tangle(arr):
     """Independent oracle: tau = 4 |d1 - 2 d2 + 4 d3| from the degree-4
@@ -206,9 +222,10 @@ class TestThreeTangle:
         assert three_tangle(product_state("udu")) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_hyperdeterminant_on_random_states(self):
-        # Eigenvalues of the non-normal Wootters product carry ~1e-8 noise
-        # on generic states, so this cross-check is looser than the exact
-        # named-state assertions above.
+        # The two smallest Wootters eigenvalues vanish for the rank-2 pair
+        # states of a pure 3-qubit state; the square root turns their
+        # rounding into ~1e-8 noise, so this cross-check is looser than the
+        # exact named-state assertions above.
         rng = np.random.default_rng(11)
         for _ in range(20):
             arr = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -351,6 +368,10 @@ class TestConnectedness:
         assert all(r.connected and r.witness is not None for r in reports)
         assert not maximal_connectedness(named_state("w4"))[0]
         assert not maximal_connectedness(named_state("dicke42"))[0]
+
+    def test_too_many_qubits_rejected(self):
+        with pytest.raises(ValueError, match="n <= 6"):
+            is_pair_connectable(np.ones(128) / np.sqrt(128), 1, 2)
 
     def test_bad_pair_rejected(self):
         with pytest.raises(ValueError):
