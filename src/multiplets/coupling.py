@@ -4,6 +4,14 @@ Angular momenta are tracked as doubled integers (``two_j``, ``two_m``) so
 half-integer spins stay exact. Coefficients follow the Condon-Shortley
 phase convention and are evaluated with Racah's factorial sum over exact
 rationals, so every amplitude is a :class:`~multiplets.exactnum.SignedRadical`.
+
+Expansion recurses top-down over the tree. ``_layout`` gives each internal
+node its postorder slot once per tree, and a memo keyed by (slot, the
+subtree's doubled intermediate spins, 2m) holds each subtree expansion,
+except the root's. The memo lives for one call: one label in ``expand``,
+every label of the tree in ``full_basis``, the target's (S, m) sector in
+``recouple``. The price is memory, since ``full_basis`` holds every
+non-root subtree expansion of the tree until it returns.
 """
 
 from __future__ import annotations
@@ -206,6 +214,11 @@ class Node:
 
 TreeNode = Union[Leaf, Node]
 
+# Most leaves a parsed tree spec may have. The parser and the expansion
+# recurse once per tree level, so this keeps them far below Python's
+# recursion limit; an expansion at this size could never finish anyway.
+MAX_TREE_LEAVES = 64
+
 
 def _walk_leaves(node: TreeNode) -> Iterator[Leaf]:
     if isinstance(node, Leaf):
@@ -269,9 +282,17 @@ class CouplingTree:
     def parse(cls, spec: str) -> "CouplingTree":
         """Parse a nested-parentheses tree spec such as "((1 2) (3 4))".
 
-        Whitespace is optional except between adjacent indices.
+        Whitespace is optional except between adjacent indices. Specs with
+        more than MAX_TREE_LEAVES leaves, or more tokens than a tree of
+        that size has, raise ValueError before any parsing.
         """
         tokens = _tokenize(spec)
+        leaves = sum(isinstance(tok, int) for tok in tokens)
+        if leaves > MAX_TREE_LEAVES or len(tokens) > 3 * MAX_TREE_LEAVES - 2:
+            raise ValueError(
+                f"tree spec has {leaves} leaves in {len(tokens)} tokens; at most "
+                f"{MAX_TREE_LEAVES} leaves ({3 * MAX_TREE_LEAVES - 2} tokens) are supported"
+            )
         node, pos = _parse_node(tokens, 0)
         if pos != len(tokens):
             raise ValueError(f"trailing input in tree spec {spec!r}")
@@ -371,6 +392,8 @@ class CoupledLabel:
 
     def __post_init__(self) -> None:
         nodes = self.tree.internal_nodes()
+        if not nodes:
+            raise ValueError("a coupled label needs a tree of at least two particles")
         if len(self.intermediates) != len(nodes):
             raise ValueError(
                 f"need {len(nodes)} intermediate spins, got {len(self.intermediates)}"
@@ -569,43 +592,79 @@ def enumerate_multiplets(tree: CouplingTree) -> list[CoupledLabel]:
     return labels
 
 
-def _expand_node(node: TreeNode, spin_of: dict[TreeNode, Spin],
-                 two_m: int) -> dict[tuple, SignedRadical]:
+def _layout(tree: CouplingTree) -> dict[int, tuple[int, int]]:
+    """``id(node)`` -> (postorder slot, first slot of its subtree), per internal node.
+
+    A subtree's internal nodes are contiguous in postorder and end at its
+    own slot, so ``two_js[first:slot + 1]`` is its whole spin assignment.
+    Raises ValueError unless every leaf is a spin 1/2, as the qubit basis
+    that the expansion targets needs.
+    """
+    if any(leaf.spin != HALF for leaf in tree.leaves()):
+        raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
+    layout: dict[int, tuple[int, int]] = {}
+    for slot, node in enumerate(tree.internal_nodes()):
+        firsts = [layout[id(child)][1] for child in (node.left, node.right)
+                  if isinstance(child, Node)]
+        layout[id(node)] = (slot, firsts[0] if firsts else slot)
+    return layout
+
+
+def _expand_node(node: TreeNode, layout: dict[int, tuple[int, int]],
+                 two_js: tuple[int, ...], two_m: int,
+                 memo: dict[tuple, dict]) -> dict[tuple, SignedRadical]:
     """Expansion keyed by sorted (particle, two_m) tuples.
 
+    ``two_js`` holds a label's doubled intermediate spins in postorder.
     Leaf projections determine every intermediate projection, so each key
     is reached exactly once and amplitudes stay single CG products.
+
+    ``memo`` maps (slot, the subtree's slice of ``two_js``, two_m) to the
+    subtree's expansion, so a subtree reached again, by another path or
+    another label of the same tree, is not expanded twice. The root's
+    entry is never stored: its key is unique per label.
     """
     if isinstance(node, Leaf):
         return {((node.index, two_m),): SignedRadical.one()}
-    j_left, j_right = spin_of[node.left], spin_of[node.right]
-    j_node = spin_of[node]
-    out: dict[tuple, SignedRadical] = {}
-    for two_ml in range(-j_left.two_j, j_left.two_j + 1, 2):
+    slot, first = layout[id(node)]
+    key = (slot, two_js[first:slot + 1], two_m)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    j_left, j_right = (child.spin.two_j if isinstance(child, Leaf)
+                       else two_js[layout[id(child)][0]]
+                       for child in (node.left, node.right))
+    out = {}
+    for two_ml in range(-j_left, j_left + 1, 2):
         two_mr = two_m - two_ml
-        if abs(two_mr) > j_right.two_j:
+        if abs(two_mr) > j_right:
             continue
-        coeff = _cg_doubled(j_left.two_j, two_ml, j_right.two_j, two_mr,
-                            j_node.two_j, two_m)
+        coeff = _cg_doubled(j_left, two_ml, j_right, two_mr, two_js[slot], two_m)
         if not coeff:
             continue
-        left = _expand_node(node.left, spin_of, two_ml)
-        right = _expand_node(node.right, spin_of, two_mr)
-        for key_l, amp_l in left.items():
-            for key_r, amp_r in right.items():
-                out[tuple(sorted(key_l + key_r))] = coeff * amp_l * amp_r
+        # Scaling the smaller side by the CG first costs one product per
+        # pair; a leaf side makes it one product per amplitude.
+        small, large = sorted((_expand_node(node.left, layout, two_js, two_ml, memo),
+                               _expand_node(node.right, layout, two_js, two_mr, memo)),
+                              key=len)
+        for key_s, amp_s in small.items():
+            scaled = coeff * amp_s
+            for key_l, amp_l in large.items():
+                out[tuple(sorted(key_s + key_l))] = scaled * amp_l
+    if slot < len(two_js) - 1:
+        memo[key] = out
     return out
 
 
-def expand(label: CoupledLabel) -> StateVector:
-    """Exact product-basis expansion of one coupled state."""
-    tree = label.tree
-    if any(leaf.spin != HALF for leaf in tree.leaves()):
-        raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
-    n = tree.n
-    spin_of = label.node_spins()
+def _expansion(label: CoupledLabel, layout: dict[int, tuple[int, int]],
+               memo: dict[tuple, dict]) -> StateVector:
+    """``expand`` over a precomputed ``_layout`` of the label's tree and a
+    subtree memo that the caller may share between labels of that tree."""
+    two_js = tuple(spin.two_j for spin in label.intermediates)
+    n = len(two_js) + 1
     amps: dict[int, SignedRadical] = {}
-    for key, amp in _expand_node(tree.root, spin_of, label.total_m.two_m).items():
+    for key, amp in _expand_node(label.tree.root, layout, two_js,
+                                 label.total_m.two_m, memo).items():
         config = 0
         for index, two_m in key:
             if two_m > 0:
@@ -614,9 +673,24 @@ def expand(label: CoupledLabel) -> StateVector:
     return StateVector.exact_state(n, amps)
 
 
+def expand(label: CoupledLabel) -> StateVector:
+    """Exact product-basis expansion of one coupled state.
+
+    Its subtree memo lives for this one call: a label reaches the same
+    (subtree, m) by many paths.
+    """
+    return _expansion(label, _layout(label.tree), {})
+
+
 def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
-    """All 2**n coupled states of a tree, expanded exactly."""
-    return [(label, expand(label)) for label in enumerate_multiplets(tree)]
+    """All 2**n coupled states of a tree, expanded exactly.
+
+    One subtree memo serves all of the tree's labels and lives for this
+    call; it holds every non-root subtree expansion at once.
+    """
+    layout, memo = _layout(tree), {}
+    return [(label, _expansion(label, layout, memo))
+            for label in enumerate_multiplets(tree)]
 
 
 def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, float]:
@@ -624,17 +698,21 @@ def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, fl
 
     Computed as inner products of the exact expansions, evaluated in
     floats; coefficients of magnitude at most 1e-12 are dropped. Only
-    target labels with the same total S and m can appear.
+    target labels with the same total S and m can appear, so only that
+    sector of the target is enumerated and expanded, with one subtree
+    memo shared over it for this call.
     """
     if set(label.tree.particles()) != set(target.particles()):
         raise ValueError("trees must couple the same particles")
     source = expand(label).to_array()
+    layout, memo = _layout(target), {}
     out: dict[CoupledLabel, float] = {}
-    for target_label in enumerate_multiplets(target):
-        if (target_label.total_spin != label.total_spin
-                or target_label.total_m != label.total_m):
+    for total, intermediates in _assignments(target.root):
+        if total != label.total_spin:
             continue
-        coeff = float(np.real(np.vdot(expand(target_label).to_array(), source)))
+        target_label = CoupledLabel(target, intermediates, label.total_m)
+        state = _expansion(target_label, layout, memo)
+        coeff = float(np.real(np.vdot(state.to_array(), source)))
         if abs(coeff) > 1e-12:
             out[target_label] = coeff
     return out

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiplets.cli import main
+from multiplets.coupling import MAX_TREE_LEAVES, CouplingTree
 from multiplets.exactnum import SignedRadical
 from multiplets.report import TOLERANCE_ENV_VAR
 from multiplets.statefile import StateFileError, parse_state_file
@@ -113,3 +114,33 @@ class TestToleranceValidation:
     def test_zero_tol_accepted(self, capsys):
         assert main(["verify", "(1 2)", "--tol=0"]) == 0
         assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+
+def _sequential_spec(n: int) -> str:
+    spec = "1"
+    for i in range(2, n + 1):
+        spec = f"({spec} {i})"
+    return spec
+
+
+class TestTreeSizeCap:
+    def test_oversized_table_is_one_error_line(self, capsys):
+        err = _run_cli_error(capsys, ["table", _sequential_spec(1200)])
+        assert "1200 leaves" in err
+
+    def test_limit_is_inclusive(self):
+        assert CouplingTree.parse(_sequential_spec(MAX_TREE_LEAVES)).n == MAX_TREE_LEAVES
+        with pytest.raises(ValueError, match="at most"):
+            CouplingTree.parse(_sequential_spec(MAX_TREE_LEAVES + 1))
+
+    def test_deep_nesting_without_leaves_is_rejected(self):
+        with pytest.raises(ValueError, match="at most"):
+            CouplingTree.parse("(" * 5000 + "1 2)")
+
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    def test_single_particle_tree(self, capsys, command):
+        err = _run_cli_error(capsys, [command, "1"])
+        assert "two particles" in err
+
+    def test_single_particle_label(self, capsys):
+        _run_cli_error(capsys, ["expand", "1", "--label", "1/2"])

@@ -190,6 +190,17 @@ class TestConcurrence:
         assert concurrence(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-12)
 
 
+def pair_concurrence_tangle(arr):
+    """Independent oracle: tau = C^2(1|23) - C^2(12) - C^2(13), with
+    C^2(1|23) = 4 det(rho_1) and Wootters concurrence on the pair states,
+    clamped at zero (the form ``three_tangle`` used before it took the
+    hyperdeterminant)."""
+    c2_one_rest = float(np.real(4.0 * np.linalg.det(partial_trace(arr, {1}).matrix)))
+    c12 = concurrence(partial_trace(arr, {1, 2}).matrix)
+    c13 = concurrence(partial_trace(arr, {1, 3}).matrix)
+    return max(0.0, c2_one_rest - c12 ** 2 - c13 ** 2)
+
+
 def hyperdeterminant_tangle(arr):
     """Independent oracle: tau = 4 |d1 - 2 d2 + 4 d3| from the degree-4
     polynomial in the eight amplitudes (up-first ordering)."""
@@ -222,10 +233,6 @@ class TestThreeTangle:
         assert three_tangle(product_state("udu")) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_hyperdeterminant_on_random_states(self):
-        # The two smallest Wootters eigenvalues vanish for the rank-2 pair
-        # states of a pure 3-qubit state; the square root turns their
-        # rounding into ~1e-8 noise, so this cross-check is looser than the
-        # exact named-state assertions above.
         rng = np.random.default_rng(11)
         for _ in range(20):
             arr = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -233,6 +240,33 @@ class TestThreeTangle:
             assert three_tangle(arr) == pytest.approx(
                 hyperdeterminant_tangle(arr), abs=1e-7
             )
+
+    def test_matches_pair_concurrence_oracle_on_random_states(self):
+        # The two smallest Wootters eigenvalues vanish for the rank-2 pair
+        # states of a pure 3-qubit state; the square root turns their
+        # rounding into ~1e-8 noise in the oracle, so this cross-check is
+        # looser than the exact named-state assertions above.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            arr = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            arr /= np.linalg.norm(arr)
+            assert three_tangle(arr) == pytest.approx(
+                pair_concurrence_tangle(arr), abs=1e-7
+            )
+
+    @pytest.mark.parametrize("name, expected", [
+        ("w3", ThreeQubitClass.W), ("ghz3", ThreeQubitClass.GHZ)])
+    def test_class_invariant_under_local_unitaries(self, name, expected):
+        # W3 in a generic local frame keeps a residual tangle of 0; the
+        # pair-concurrence form read up to ~4e-8 there, above TANGLE_TOL,
+        # and called every such state GHZ.
+        rng = np.random.default_rng(0)
+        arr = named_state(name).to_array()
+        for _ in range(500):
+            rotated = arr
+            for site in range(1, 4):
+                rotated = apply_local(rotated, 3, site, haar_unitary(rng))
+            assert classify_three_qubit(rotated) is expected
 
     def test_ckw_inequality_on_named_suite(self):
         for name in ("ghz3", "w3"):

@@ -1,0 +1,167 @@
+"""Differential tests of the memoized expansion paths.
+
+``recouple`` enumerates only the source's (S, m) sector of the target and
+shares one subtree memo over it; ``full_basis`` shares one memo over all
+labels of a tree. Both must give exactly what label-by-label ``expand``
+gives: ``tests/oracle_recouple.py`` for ``recouple``, and
+``[(label, expand(label)) ...]`` for ``full_basis``. Between trees that
+differ by one rotation, every recoupling coefficient must also equal
+Racah's single-6j formula.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from multiplets.coupling import (
+    CouplingTree,
+    Node,
+    all_coupling_trees,
+    enumerate_multiplets,
+    expand,
+    full_basis,
+    recouple,
+)
+
+import oracle_recouple
+
+
+def _bits(coefficients):
+    """(label, float bits) in dict order: equal only for bit-equal floats."""
+    return [(label, coeff.hex()) for label, coeff in coefficients.items()]
+
+
+def _sequential(n):
+    spec = "1"
+    for i in range(2, n + 1):
+        spec = f"({spec} {i})"
+    return CouplingTree.parse(spec)
+
+
+def _balanced(n):
+    def build(items):
+        if len(items) == 1:
+            return str(items[0])
+        half = len(items) // 2
+        return f"({build(items[:half])} {build(items[half:])})"
+    return CouplingTree.parse(build(list(range(1, n + 1))))
+
+
+TREES4 = all_coupling_trees(range(1, 5))
+
+
+class TestRecoupleAgainstOracle:
+    @pytest.mark.parametrize("source", TREES4, ids=str)
+    def test_every_four_qubit_label_into_every_other_tree(self, source):
+        for label in enumerate_multiplets(source):
+            for target in TREES4:
+                if target == source:
+                    continue
+                assert _bits(recouple(label, target)) == _bits(
+                    oracle_recouple.recouple(label, target))
+
+    @pytest.mark.parametrize("n, samples", [(5, 60), (6, 25)])
+    def test_sampled_labels(self, n, samples):
+        rng = random.Random(n)
+        trees = all_coupling_trees(range(1, n + 1))
+        for _ in range(samples):
+            source, target = rng.sample(trees, 2)
+            label = rng.choice(enumerate_multiplets(source))
+            assert _bits(recouple(label, target)) == _bits(
+                oracle_recouple.recouple(label, target))
+
+    def test_into_the_same_tree(self):
+        tree = _balanced(6)
+        for label in enumerate_multiplets(tree)[::7]:
+            assert _bits(recouple(label, tree)) == _bits(
+                oracle_recouple.recouple(label, tree))
+
+
+def _assert_full_basis_matches_expand(tree):
+    basis = full_basis(tree)
+    labels = enumerate_multiplets(tree)
+    assert [label for label, _ in basis] == labels
+    for (label, state), oracle_label in zip(basis, labels):
+        oracle = expand(oracle_label)
+        assert state.n == oracle.n
+        assert state.amplitudes == oracle.amplitudes
+
+
+class TestFullBasisAgainstExpand:
+    @pytest.mark.parametrize(
+        "tree", [t for n in range(2, 6) for t in all_coupling_trees(range(1, n + 1))],
+        ids=str)
+    def test_every_tree_up_to_five_qubits(self, tree):
+        _assert_full_basis_matches_expand(tree)
+
+    @pytest.mark.parametrize("build", [_sequential, _balanced], ids=["seq", "bal"])
+    def test_eight_qubits(self, build):
+        _assert_full_basis_matches_expand(build(8))
+
+
+# --------------------------------------------------------------------------
+# Racah's formula for one rotation ((A B) C) <-> (A (B C))
+
+def _racah(sympy, a, b, c, j_ab, j_bc, total):
+    """<(a b) j_ab, c; J | a, (b c) j_bc; J> from one Wigner 6j symbol
+    (Racah, Phys. Rev. 62, 438 (1942))."""
+    from sympy.physics.wigner import wigner_6j
+
+    def rat(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    six_j = wigner_6j(rat(a), rat(b), rat(j_ab), rat(c), rat(total), rat(j_bc))
+    phase = a + b + c + total
+    assert phase.denominator == 1
+    return (-1) ** int(phase) * float(
+        sympy.sqrt((2 * rat(j_ab) + 1) * (2 * rat(j_bc) + 1)) * six_j)
+
+
+ROTATIONS = [
+    # (A, B, C) as tree specs over disjoint particles
+    ("1", "2", "3"),
+    ("(1 2)", "3", "4"),
+    ("1", "(2 3)", "4"),
+    ("1", "2", "(3 4)"),
+    ("(1 2)", "(3 4)", "5"),
+    ("(1 3)", "2", "(4 5)"),
+    ("1", "((2 3) 4)", "5"),
+    ("(1 2)", "(3 4)", "(5 6)"),
+]
+
+
+@pytest.mark.parametrize("parts", ROTATIONS, ids=lambda p: "((%s %s) %s)" % p)
+def test_single_rotation_matches_six_j(parts):
+    sympy = pytest.importorskip("sympy")
+    a_spec, b_spec, c_spec = parts
+    source = CouplingTree.parse(f"(({a_spec} {b_spec}) {c_spec})")
+    target = CouplingTree.parse(f"({a_spec} ({b_spec} {c_spec}))")
+    a_node, b_node = source.root.left.left, source.root.left.right
+    c_node = source.root.right
+    bc_node = target.root.right
+    assert isinstance(bc_node, Node)
+    for label in enumerate_multiplets(source):
+        spins = label.node_spins()
+        a, b, c = (spins[node].j for node in (a_node, b_node, c_node))
+        j_ab, total = spins[source.root.left].j, label.total_spin.j
+        coefficients = recouple(label, target)
+        expected = {}
+        for two_j_bc in range(int(2 * abs(b - c)), int(2 * (b + c)) + 1, 2):
+            j_bc = Fraction(two_j_bc, 2)
+            value = _racah(sympy, a, b, c, j_ab, j_bc, total)
+            if abs(value) > 1e-12:
+                expected[j_bc] = value
+        got = {}
+        for target_label, coeff in coefficients.items():
+            target_spins = target_label.node_spins()
+            # The nodes both trees share are those of A, B and C; their
+            # spins do not change under the rotation.
+            shared = spins.keys() & target_spins.keys()
+            assert {a_node, b_node, c_node} <= shared
+            assert all(target_spins[node] == spins[node] for node in shared)
+            got[target_spins[bc_node].j] = coeff
+        assert got.keys() == expected.keys()
+        for j_bc, value in expected.items():
+            assert got[j_bc] == pytest.approx(value, abs=1e-12)
+
