@@ -45,16 +45,7 @@ from .measures import (
     persistency,
     three_tangle,
 )
-from .operators import (
-    LabeledOperator,
-    SparseOperator,
-    commuting_set,
-    joint_eigenbasis,
-    site_operator,
-    subset_casimir,
-    total_sz,
-    verify_eigenstate,
-)
+from .operators import LabeledOperator, commuting_set, verify_eigenstate
 from .registry import available_states, named_state
 from .report import emit_table, run_measures, run_verify
 from .statefile import StateFileError, emit_state_file, parse_state_file

@@ -5,19 +5,21 @@ half-integer spins stay exact. Coefficients follow the Condon-Shortley
 phase convention and are evaluated with Racah's factorial sum over exact
 rationals, so every amplitude is a :class:`~multiplets.exactnum.SignedRadical`.
 
-Expansion recurses top-down over the tree. ``_layout`` gives each internal
-node its postorder slot once per tree, and a memo keyed by (slot, the
-subtree's doubled intermediate spins, 2m) holds each subtree expansion,
-except the root's. The memo lives for one call: one label in ``expand``,
-every label of the tree in ``full_basis``, the target's (S, m) sector in
-``recouple``. The price is memory, since ``full_basis`` holds every
-non-root subtree expansion of the tree until it returns.
+Labels and expansions index a tree's nodes by position: the leaves, then
+the internal nodes in postorder (``CouplingTree._postorder``, built once
+per tree), so neither hashes ``Node``s. Expansion recurses top-down, and a
+memo keyed by (position, the subtree's doubled spins, 2m) holds each
+subtree expansion, except the root's. The memo lives for one call: one
+label in ``expand``, every label of the tree in ``full_basis``, the
+target's (S, m) sector in ``recouple``. The price is memory, since
+``full_basis`` holds every non-root subtree expansion until it returns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -50,8 +52,16 @@ __all__ = [
 ]
 
 
+# Text a spin-like value may be given as: an integer, p/q with a nonzero q,
+# or a short decimal. ``Fraction`` alone would also take exponents, which it
+# expands exactly, so "1e10000000" would cost time and memory without bound.
+_SPIN_TEXT = re.compile(r"\s*[+-]?(\d{1,9}(/(?=0*[1-9])\d{1,9}|\.\d{0,9})?|\.\d{1,9})\s*")
+
+
 def _two_of(value) -> int:
     """Doubled integer for a spin-like value given as int, Fraction or str."""
+    if isinstance(value, str) and not _SPIN_TEXT.fullmatch(value):
+        raise ValueError(f"{value!r} is not an integer, p/q or short decimal")
     doubled = 2 * Fraction(value)
     if doubled.denominator != 1:
         raise ValueError(f"{value!r} is not a half-integer")
@@ -309,6 +319,25 @@ class CouplingTree:
     def __str__(self) -> str:
         return self.spec()
 
+    @functools.cached_property
+    def _postorder(self) -> tuple[tuple[Leaf, ...], tuple[tuple[int, int, int], ...]]:
+        """(leaves, then (left, right, first) per internal node in postorder).
+
+        Positions count the leaves, then the internal nodes in postorder. A
+        subtree's internal nodes are contiguous and end at its own position
+        p, so ``spins[first:p + 1]`` is its whole intermediate assignment.
+        """
+        leaves = self.leaves()
+        n = len(leaves)
+        position = {id(leaf): k for k, leaf in enumerate(leaves)}
+        nodes: list[tuple[int, int, int]] = []
+        for node in self.internal_nodes():
+            left, right = position[id(node.left)], position[id(node.right)]
+            own = position[id(node)] = len(position)
+            firsts = [nodes[child - n][2] for child in (left, right) if child >= n]
+            nodes.append((left, right, firsts[0] if firsts else own))
+        return leaves, tuple(nodes)
+
 
 def _tokenize(spec: str) -> list:
     tokens: list = []
@@ -391,16 +420,17 @@ class CoupledLabel:
     total_m: SpinProjection
 
     def __post_init__(self) -> None:
-        nodes = self.tree.internal_nodes()
+        leaves, nodes = self.tree._postorder
         if not nodes:
             raise ValueError("a coupled label needs a tree of at least two particles")
         if len(self.intermediates) != len(nodes):
             raise ValueError(
                 f"need {len(nodes)} intermediate spins, got {len(self.intermediates)}"
             )
-        spin_of = self.node_spins()
-        for node in nodes:
-            if not triangle_ok(spin_of[node.left], spin_of[node.right], spin_of[node]):
+        spins = tuple(leaf.spin for leaf in leaves) + self.intermediates
+        for slot, (left, right, _) in enumerate(nodes):
+            if not triangle_ok(spins[left], spins[right], self.intermediates[slot]):
+                node = self.tree.internal_nodes()[slot]
                 raise ValueError(
                     f"triangle rule fails at node over {self.tree.node_particles(node)}"
                 )
@@ -592,78 +622,59 @@ def enumerate_multiplets(tree: CouplingTree) -> list[CoupledLabel]:
     return labels
 
 
-def _layout(tree: CouplingTree) -> dict[int, tuple[int, int]]:
-    """``id(node)`` -> (postorder slot, first slot of its subtree), per internal node.
-
-    A subtree's internal nodes are contiguous in postorder and end at its
-    own slot, so ``two_js[first:slot + 1]`` is its whole spin assignment.
-    Raises ValueError unless every leaf is a spin 1/2, as the qubit basis
-    that the expansion targets needs.
-    """
-    if any(leaf.spin != HALF for leaf in tree.leaves()):
-        raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
-    layout: dict[int, tuple[int, int]] = {}
-    for slot, node in enumerate(tree.internal_nodes()):
-        firsts = [layout[id(child)][1] for child in (node.left, node.right)
-                  if isinstance(child, Node)]
-        layout[id(node)] = (slot, firsts[0] if firsts else slot)
-    return layout
-
-
-def _expand_node(node: TreeNode, layout: dict[int, tuple[int, int]],
-                 two_js: tuple[int, ...], two_m: int,
+def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
                  memo: dict[tuple, dict]) -> dict[tuple, SignedRadical]:
-    """Expansion keyed by sorted (particle, two_m) tuples.
+    """Expansion of the node at ``pos``, keyed by sorted (particle, two_m) tuples.
 
-    ``two_js`` holds a label's doubled intermediate spins in postorder.
-    Leaf projections determine every intermediate projection, so each key
-    is reached exactly once and amplitudes stay single CG products.
-
-    ``memo`` maps (slot, the subtree's slice of ``two_js``, two_m) to the
-    subtree's expansion, so a subtree reached again, by another path or
-    another label of the same tree, is not expanded twice. The root's
-    entry is never stored: its key is unique per label.
+    ``spins`` holds the doubled spins by position. Leaf projections fix
+    every intermediate projection, so each key is reached once and each
+    amplitude is a single CG product. ``memo`` maps (pos, the subtree's
+    slice of ``spins``, two_m) to the subtree's expansion, so a subtree
+    reached again, by another path or another label of the same tree, is
+    not expanded twice. The root's key is unique per label: never stored.
     """
-    if isinstance(node, Leaf):
-        return {((node.index, two_m),): SignedRadical.one()}
-    slot, first = layout[id(node)]
-    key = (slot, two_js[first:slot + 1], two_m)
+    leaves, nodes = postorder
+    if pos < len(leaves):
+        return {((leaves[pos].index, two_m),): SignedRadical.one()}
+    left, right, first = nodes[pos - len(leaves)]
+    key = (pos, spins[first:pos + 1], two_m)
     out = memo.get(key)
     if out is not None:
         return out
-    j_left, j_right = (child.spin.two_j if isinstance(child, Leaf)
-                       else two_js[layout[id(child)][0]]
-                       for child in (node.left, node.right))
+    j_left, j_right = spins[left], spins[right]
     out = {}
     for two_ml in range(-j_left, j_left + 1, 2):
         two_mr = two_m - two_ml
         if abs(two_mr) > j_right:
             continue
-        coeff = _cg_doubled(j_left, two_ml, j_right, two_mr, two_js[slot], two_m)
+        coeff = _cg_doubled(j_left, two_ml, j_right, two_mr, spins[pos], two_m)
         if not coeff:
             continue
         # Scaling the smaller side by the CG first costs one product per
         # pair; a leaf side makes it one product per amplitude.
-        small, large = sorted((_expand_node(node.left, layout, two_js, two_ml, memo),
-                               _expand_node(node.right, layout, two_js, two_mr, memo)),
+        small, large = sorted((_expand_node(left, postorder, spins, two_ml, memo),
+                               _expand_node(right, postorder, spins, two_mr, memo)),
                               key=len)
         for key_s, amp_s in small.items():
             scaled = coeff * amp_s
             for key_l, amp_l in large.items():
                 out[tuple(sorted(key_s + key_l))] = scaled * amp_l
-    if slot < len(two_js) - 1:
+    if pos < len(spins) - 1:
         memo[key] = out
     return out
 
 
-def _expansion(label: CoupledLabel, layout: dict[int, tuple[int, int]],
-               memo: dict[tuple, dict]) -> StateVector:
-    """``expand`` over a precomputed ``_layout`` of the label's tree and a
-    subtree memo that the caller may share between labels of that tree."""
-    two_js = tuple(spin.two_j for spin in label.intermediates)
-    n = len(two_js) + 1
+def _expansion(label: CoupledLabel, memo: dict[tuple, dict]) -> StateVector:
+    """``expand`` with a subtree memo that the caller may share between
+    labels of one tree. Raises ValueError unless every leaf is a spin 1/2,
+    as the qubit basis that the expansion targets needs."""
+    postorder = label.tree._postorder
+    if any(leaf.spin != HALF for leaf in postorder[0]):
+        raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
+    n = len(postorder[0])
+    spins = (1,) * n + tuple(spin.two_j for spin in label.intermediates)
     amps: dict[int, SignedRadical] = {}
-    for key, amp in _expand_node(label.tree.root, layout, two_js,
+    for key, amp in _expand_node(len(spins) - 1, postorder, spins,
                                  label.total_m.two_m, memo).items():
         config = 0
         for index, two_m in key:
@@ -679,7 +690,7 @@ def expand(label: CoupledLabel) -> StateVector:
     Its subtree memo lives for this one call: a label reaches the same
     (subtree, m) by many paths.
     """
-    return _expansion(label, _layout(label.tree), {})
+    return _expansion(label, {})
 
 
 def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
@@ -688,8 +699,8 @@ def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
     One subtree memo serves all of the tree's labels and lives for this
     call; it holds every non-root subtree expansion at once.
     """
-    layout, memo = _layout(tree), {}
-    return [(label, _expansion(label, layout, memo))
+    memo: dict[tuple, dict] = {}
+    return [(label, _expansion(label, memo))
             for label in enumerate_multiplets(tree)]
 
 
@@ -705,13 +716,13 @@ def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, fl
     if set(label.tree.particles()) != set(target.particles()):
         raise ValueError("trees must couple the same particles")
     source = expand(label).to_array()
-    layout, memo = _layout(target), {}
+    memo: dict[tuple, dict] = {}
     out: dict[CoupledLabel, float] = {}
     for total, intermediates in _assignments(target.root):
         if total != label.total_spin:
             continue
         target_label = CoupledLabel(target, intermediates, label.total_m)
-        state = _expansion(target_label, layout, memo)
+        state = _expansion(target_label, memo)
         coeff = float(np.real(np.vdot(state.to_array(), source)))
         if abs(coeff) > 1e-12:
             out[target_label] = coeff

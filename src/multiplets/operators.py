@@ -1,106 +1,64 @@
-"""Sparse spin operators on n qubits and commuting-set verification.
+"""A tree's commuting spin operators as exchange operators, and verification.
 
-hbar is set to 1 throughout, so squared-spin eigenvalues read s(s+1) and
-z-projections read m. Matrices live in the dense up-first basis order
-(index 0 is all spins up), matching ``StateVector.to_array``.
+hbar is set to 1, so squared-spin eigenvalues read s(s+1) and projections
+read m. Vectors live in the dense up-first basis order (index 0 is all
+spins up), matching ``StateVector.to_array``.
+
+Two spins 1/2 obey s_i . s_j = P_ij / 2 - 1/4, with P_ij their exchange
+(Dirac, Proc. R. Soc. A 123, 714 (1929)). So the Casimir of a particle
+set A is 3|A|/4 - |A|(|A| - 1)/4 + (the sum over i < j in A of P_ij), and
+S_z is the diagonal popcount(config) - n/2. On a dense index P_ij swaps
+bits n - i and n - j: the dense index is the bit complement of the
+configuration, and a bit swap commutes with the complement. A real
+diagonal plus involutive permutations is Hermitian by construction.
+The scipy Kronecker products are kept only as a test oracle, in tests/.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coupling import CoupledLabel, CouplingTree, StateVector
 
-__all__ = [
-    "SparseOperator",
-    "site_operator",
-    "subset_casimir",
-    "total_sz",
-    "verify_eigenstate",
-    "LabeledOperator",
-    "commuting_set",
-    "joint_eigenbasis",
-]
-
-_HERMITIAN_TOL = 1e-14
-
-_SPIN_HALF = {
-    "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
-    "z": np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
-}
+__all__ = ["ExchangeOperator", "verify_eigenstate", "LabeledOperator", "commuting_set"]
 
 
 @dataclass(frozen=True, eq=False)
-class SparseOperator:
-    """A sparse operator on the 2**n dimensional qubit space."""
+class ExchangeOperator:
+    """``diagonal * psi`` (a scalar or one real entry per dense index) plus
+    ``psi`` gathered through each row of ``swaps``, one row per exchange."""
 
-    matrix: sp.csr_matrix
+    diagonal: float | np.ndarray
+    swaps: np.ndarray
 
-    def __post_init__(self) -> None:
-        rows, cols = self.matrix.shape
-        if rows != cols:
-            raise ValueError("operator matrix must be square")
-        defect = abs(self.matrix - self.matrix.getH())
-        if defect.nnz and defect.max() > _HERMITIAN_TOL:
-            raise ValueError("operator is not Hermitian")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def apply(self, psi: StateVector | np.ndarray) -> np.ndarray:
-        """Matrix-vector product, not normalized."""
-        arr = psi.to_array() if isinstance(psi, StateVector) else np.asarray(psi)
-        if arr.shape != (self.dim,):
-            raise ValueError(f"state has dimension {arr.shape}, operator {self.dim}")
-        return self.matrix @ arr
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """Operator-vector product, not normalized."""
+        if psi.shape != self.swaps.shape[1:]:
+            raise ValueError(f"state has shape {psi.shape}, operator {self.swaps.shape[1:]}")
+        return self.diagonal * psi + psi[self.swaps].sum(axis=0)
 
 
-def site_operator(n: int, k: int, axis: str) -> SparseOperator:
-    """The spin-1/2 operator along ``axis`` acting on particle k alone."""
-    if not 1 <= k <= n:
-        raise ValueError(f"site {k} out of range for {n} particles")
-    if axis not in _SPIN_HALF:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    left = sp.identity(1 << (k - 1), dtype=complex, format="csr")
-    right = sp.identity(1 << (n - k), dtype=complex, format="csr")
-    local = sp.csr_matrix(_SPIN_HALF[axis])
-    return SparseOperator(sp.kron(sp.kron(left, local), right).tocsr())
+def _casimir(n: int, sites: Sequence[int]) -> ExchangeOperator:
+    index = np.arange(1 << n)
+    # Flip both bits of a pair where they differ: that swaps them.
+    rows = [index ^ (index >> (n - i) ^ index >> (n - j)) % 2 * (1 << (n - i) | 1 << (n - j))
+            for i, j in itertools.combinations(sites, 2)]
+    size = len(sites)
+    swaps = np.array(rows, dtype=np.intp).reshape(len(rows), 1 << n)
+    return ExchangeOperator((3 * size - size * (size - 1)) / 4, swaps)
 
 
-def subset_casimir(n: int, subset: Iterable[int]) -> SparseOperator:
-    """(sum over the subset of spin vectors) squared, as a sparse operator."""
-    sites = sorted(set(subset))
-    if not sites:
-        raise ValueError("subset must be non-empty")
-    if sites[0] < 1 or sites[-1] > n:
-        raise ValueError(f"subset {sites} out of range for {n} particles")
-    total = sp.csr_matrix((1 << n, 1 << n), dtype=complex)
-    for axis in "xyz":
-        component = sp.csr_matrix((1 << n, 1 << n), dtype=complex)
-        for k in sites:
-            component = component + site_operator(n, k, axis).matrix
-        total = total + component @ component
-    return SparseOperator(total.tocsr())
+def _total_sz(n: int) -> ExchangeOperator:
+    index = np.arange(1 << n)
+    down = sum(index >> bit & 1 for bit in range(n))
+    return ExchangeOperator(n / 2 - down, np.empty((0, 1 << n), dtype=np.intp))
 
 
-def total_sz(n: int) -> SparseOperator:
-    """The diagonal operator summing every particle's z spin."""
-    total = sp.csr_matrix((1 << n, 1 << n), dtype=complex)
-    for k in range(1, n + 1):
-        total = total + site_operator(n, k, "z").matrix
-    return SparseOperator(total.tocsr())
-
-
-def verify_eigenstate(op: SparseOperator, psi: StateVector | np.ndarray,
+def verify_eigenstate(op: ExchangeOperator, psi: StateVector | np.ndarray,
                       eigenvalue: float, tol: float = 1e-12) -> tuple[bool, float]:
     """Residual norm ||op psi - eigenvalue psi|| and whether it is <= tol."""
     arr = psi.to_array() if isinstance(psi, StateVector) else np.asarray(psi)
@@ -113,7 +71,7 @@ class LabeledOperator:
     """A member of a tree's commuting set with its label-read eigenvalue."""
 
     name: str
-    operator: SparseOperator
+    operator: ExchangeOperator
     eigenvalue_of: Callable[[CoupledLabel], float]
 
 
@@ -125,52 +83,10 @@ def commuting_set(tree: CouplingTree) -> list[LabeledOperator]:
     a label: s(s+1) for each intermediate spin and m for the projection.
     """
     n = tree.n
-    members: list[LabeledOperator] = []
-    for position, (node, name) in enumerate(zip(tree.internal_nodes(), tree.node_names())):
-        op = subset_casimir(n, tree.node_particles(node))
-
-        def casimir_value(label: CoupledLabel, pos: int = position) -> float:
-            return float(label.intermediates[pos].casimir_eigenvalue())
-
-        members.append(LabeledOperator(f"{name}^2", op, casimir_value))
-    members.append(
-        LabeledOperator("S_z", total_sz(n), lambda label: float(label.total_m.m))
-    )
-    return members
-
-
-def joint_eigenbasis(operators: Sequence[SparseOperator], *, resolution: float = 0.25,
-                     tol: float = 1e-8) -> dict[tuple[float, ...], np.ndarray]:
-    """Simultaneous eigenbasis of commuting Hermitian operators.
-
-    Works by sequentially refining eigenspaces, rounding eigenvalues to
-    the nearest multiple of ``resolution`` (spin spectra are quarters).
-    Only fully resolved (one dimensional) joint eigenspaces are returned,
-    keyed by their eigenvalue tuple.
-    """
-    if not operators:
-        raise ValueError("need at least one operator")
-    dim = operators[0].dim
-    blocks: list[tuple[tuple[float, ...], np.ndarray]] = [
-        ((), np.eye(dim, dtype=complex))
+    members = [
+        LabeledOperator(f"{name}^2", _casimir(n, tree.node_particles(node)),
+                        lambda lab, k=k: float(lab.intermediates[k].casimir_eigenvalue()))
+        for k, (node, name) in enumerate(zip(tree.internal_nodes(), tree.node_names()))
     ]
-    for op in operators:
-        dense = op.to_dense()
-        refined: list[tuple[tuple[float, ...], np.ndarray]] = []
-        for values, basis in blocks:
-            m = basis.conj().T @ dense @ basis
-            m = (m + m.conj().T) / 2
-            eigvals, eigvecs = np.linalg.eigh(m)
-            rounded = np.round(eigvals / resolution) * resolution
-            if np.max(np.abs(eigvals - rounded)) > tol:
-                raise ValueError("eigenvalue off the expected spin grid")
-            for value in sorted(set(rounded.tolist()), reverse=True):
-                cols = np.isclose(rounded, value)
-                refined.append((values + (float(value),), basis @ eigvecs[:, cols]))
-        blocks = refined
-    out: dict[tuple[float, ...], np.ndarray] = {}
-    for values, basis in blocks:
-        if basis.shape[1] == 1:
-            vec = basis[:, 0]
-            out[values] = vec / np.linalg.norm(vec)
-    return out
+    members.append(LabeledOperator("S_z", _total_sz(n), lambda lab: float(lab.total_m.m)))
+    return members

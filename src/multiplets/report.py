@@ -18,7 +18,6 @@ from .coupling import (
     CouplingTree,
     StateVector,
     config_to_string,
-    enumerate_multiplets,
     expand,
     full_basis,
 )
@@ -190,8 +189,8 @@ def run_verify(tree: CouplingTree, tol: float | None = None) -> dict:
     members = commuting_set(tree)
     results = []
     all_ok = True
-    for label in enumerate_multiplets(tree):
-        state = expand(label).to_array()
+    for label, exact in full_basis(tree):
+        state = exact.to_array()
         checks = []
         for member in members:
             expected = member.eigenvalue_of(label)

@@ -2,12 +2,13 @@
 traceback, and never a silent NaN with exit 0."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiplets.cli import main
-from multiplets.coupling import MAX_TREE_LEAVES, CouplingTree
+from multiplets.coupling import MAX_TREE_LEAVES, CouplingTree, Spin, SpinProjection
 from multiplets.exactnum import SignedRadical
 from multiplets.report import TOLERANCE_ENV_VAR
 from multiplets.statefile import StateFileError, parse_state_file
@@ -144,3 +145,21 @@ class TestTreeSizeCap:
 
     def test_single_particle_label(self, capsys):
         _run_cli_error(capsys, ["expand", "1", "--label", "1/2"])
+
+
+class TestLabelText:
+    def test_huge_exponent_is_one_quick_error_line(self, capsys):
+        # Fraction would expand 1e10000000 exactly: seconds and megabytes.
+        start = time.perf_counter()
+        err = _run_cli_error(capsys, ["expand", "(1 2)", "--label", "1e10000000,0"])
+        assert time.perf_counter() - start < 1.0
+        assert "1e10000000" in err
+
+    @pytest.mark.parametrize("text", ["1/0", "1/00", "1e1", "1_0", "1/", "/2", ".", "inf", "nan"])
+    def test_other_number_forms_are_error_lines(self, capsys, text):
+        _run_cli_error(capsys, ["expand", "(1 2)", "--label", f"{text},0"])
+
+    def test_integer_fraction_and_decimal_parse(self):
+        assert Spin.of("3/2") == Spin.of("1.5") == Spin(3)
+        assert Spin.of("1") == Spin.of(" 1 ") == Spin(2)
+        assert SpinProjection.of("-1/2") == SpinProjection.of("-.5") == SpinProjection(-1)

@@ -177,14 +177,15 @@ class TestRunVerify:
         # Casimir check must fail.
         from multiplets.coupling import dense_index
         from multiplets.operators import commuting_set, verify_eigenstate
+        from oracle_operators import commuting_set as oracle_commuting_set
 
         state = named_state("dicke42").to_array()
         state[dense_index(config_from_string("udud"), 4)] *= -1
-        members = commuting_set(PAIR_PAIR)
-        intermediate = members[0]
-        assert intermediate.name == "S12^2"
-        ok, residual = verify_eigenstate(intermediate.operator, state, 2.0)
-        assert not ok and residual > 0.1
+        for members in (commuting_set(PAIR_PAIR), oracle_commuting_set(PAIR_PAIR)):
+            intermediate = members[0]
+            assert intermediate.name == "S12^2"
+            ok, residual = verify_eigenstate(intermediate.operator, state, 2.0)
+            assert not ok and residual > 0.1
 
     def test_env_var_overrides_tolerance(self, monkeypatch):
         monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-3")
