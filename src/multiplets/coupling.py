@@ -13,6 +13,16 @@ subtree expansion, except the root's. The memo lives for one call: one
 label in ``expand``, every label of the tree in ``full_basis``, the
 target's (S, m) sector in ``recouple``. The price is memory, since
 ``full_basis`` holds every non-root subtree expansion until it returns.
+
+Expansions map configuration bitmasks to ids into a table of distinct
+values, which lives for the process: ``_VALUES`` holds each distinct CG
+coefficient or product once (id 0 is one), and ``_PRODUCTS[a][b]`` is the
+id of a product, computed with ``SignedRadical.__mul__`` only the first
+time the pair is seen. Amplitudes take few distinct values: after a
+sequential n = 12 table the table holds 3,759 values and 29,153 products.
+Expanded states share the table's instances and check their norm once
+per distinct value; values from outside (``StateVector.exact_state``)
+never enter the table and are still checked one by one.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -278,6 +289,10 @@ class CouplingTree:
 
     def node_names(self) -> tuple[str, ...]:
         """One name per internal node, postorder; the root is plain "S"."""
+        return self._node_names
+
+    @functools.cached_property
+    def _node_names(self) -> tuple[str, ...]:
         names = []
         for node in self.internal_nodes():
             if node is self.root:
@@ -490,6 +505,19 @@ def config_from_string(s: str) -> int:
 _NORM_TOL = 1e-12
 
 
+class _PerCall(dict):
+    """``fn`` of each distinct key, computed on first lookup; one instance
+    serves one call, so nothing outlives it."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 @dataclass(frozen=True)
 class StateVector:
     """An n-qubit pure state, either exact (SignedRadical) or numeric.
@@ -545,6 +573,25 @@ class StateVector:
         return cls(n, dict(amplitudes), exact=True)
 
     @classmethod
+    def _from_value_ids(cls, n: int, ids: Mapping[int, int]) -> "StateVector":
+        """Exact state with amplitude ``_VALUES[v]`` at each mask: the trusted
+        path of the expansion engine. It checks the constructor's norm
+        identity once per distinct value, sum(count(v) * radicand(v)) = 1,
+        and that the masks are in range; the amplitudes are the table's
+        shared instances, which are never zero."""
+        counts = Counter(ids.values())
+        norm2 = sum(count * _VALUES[vid].radicand for vid, count in counts.items())
+        if norm2 != 1:
+            raise ValueError(f"exact state has norm^2 = {norm2}, expected 1")
+        if min(ids) < 0 or max(ids) >= 1 << n:
+            raise ValueError(f"configuration out of range for {n} particles")
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "amplitudes", {mask: _VALUES[vid] for mask, vid in ids.items()})
+        object.__setattr__(state, "exact", True)
+        return state
+
+    @classmethod
     def numeric_state(cls, n: int, amplitudes: Mapping[int, complex]) -> "StateVector":
         return cls(n, dict(amplitudes), exact=False)
 
@@ -567,7 +614,7 @@ class StateVector:
 
     def items(self) -> list[tuple[int, object]]:
         """Amplitudes sorted by descending configuration (all-up first)."""
-        return sorted(self.amplitudes.items(), key=lambda kv: -kv[0])
+        return sorted(self.amplitudes.items(), reverse=True)
 
     def to_numeric(self) -> "StateVector":
         if not self.exact:
@@ -577,11 +624,15 @@ class StateVector:
         )
 
     def to_array(self) -> np.ndarray:
-        """Dense complex array in up-first basis order."""
+        """Dense complex array in up-first basis order. An exact state
+        converts each distinct value once."""
+        count = len(self.amplitudes)
+        values = self.amplitudes.values()
+        if self.exact:
+            values = map(_PerCall(SignedRadical.to_float).__getitem__, values)
         arr = np.zeros(1 << self.n, dtype=complex)
-        for config, amp in self.amplitudes.items():
-            value = amp.to_float() if self.exact else amp
-            arr[dense_index(config, self.n)] = value
+        configs = np.fromiter(self.amplitudes, dtype=np.int64, count=count)
+        arr[dense_index(configs, self.n)] = np.fromiter(values, dtype=complex, count=count)
         return arr
 
     def norm_squared(self) -> Fraction | float:
@@ -622,21 +673,51 @@ def enumerate_multiplets(tree: CouplingTree) -> list[CoupledLabel]:
     return labels
 
 
+# Every distinct value the engine has made, for the process: id 0 is one,
+# and _PRODUCTS[a][b] is the id of _VALUES[a] * _VALUES[b], made with
+# SignedRadical.__mul__ the first time the pair is seen. Only CG
+# coefficients and their products enter, never values from outside.
+_VALUES: list[SignedRadical] = [SignedRadical.one()]
+_VALUE_IDS: dict[SignedRadical, int] = {_VALUES[0]: 0}
+_PRODUCTS: list[dict[int, int]] = [{}]
+
+
+def _intern(value: SignedRadical) -> int:
+    vid = _VALUE_IDS.get(value)
+    if vid is None:
+        if not value:
+            raise ValueError("the value table holds no zero")
+        vid = _VALUE_IDS[value] = len(_VALUES)
+        _VALUES.append(value)
+        _PRODUCTS.append({})
+    return vid
+
+
+def _product(a: int, b: int) -> int:
+    vid = _PRODUCTS[a].get(b)
+    if vid is None:
+        vid = _PRODUCTS[a][b] = _PRODUCTS[b][a] = _intern(_VALUES[a] * _VALUES[b])
+    return vid
+
+
 def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
-                 memo: dict[tuple, dict]) -> dict[tuple, SignedRadical]:
-    """Expansion of the node at ``pos``, keyed by sorted (particle, two_m) tuples.
+                 memo: dict[tuple, dict]) -> dict[int, int]:
+    """Expansion of the node at ``pos``: configuration bitmask -> value id.
 
     ``spins`` holds the doubled spins by position. Leaf projections fix
-    every intermediate projection, so each key is reached once and each
-    amplitude is a single CG product. ``memo`` maps (pos, the subtree's
-    slice of ``spins``, two_m) to the subtree's expansion, so a subtree
-    reached again, by another path or another label of the same tree, is
-    not expanded twice. The root's key is unique per label: never stored.
+    every intermediate projection, so each mask is reached once and each
+    amplitude is a single CG product; sibling subtrees hold disjoint
+    particles, so a parent ORs their masks. ``memo`` maps (pos, the
+    subtree's slice of ``spins``, two_m) to the subtree's expansion, so a
+    subtree reached again, by another path or another label of the same
+    tree, is not expanded twice. The root's key is unique per label: never
+    stored.
     """
     leaves, nodes = postorder
-    if pos < len(leaves):
-        return {((leaves[pos].index, two_m),): SignedRadical.one()}
-    left, right, first = nodes[pos - len(leaves)]
+    n = len(leaves)
+    if pos < n:
+        return {1 << (n - leaves[pos].index) if two_m > 0 else 0: 0}
+    left, right, first = nodes[pos - n]
     key = (pos, spins[first:pos + 1], two_m)
     out = memo.get(key)
     if out is not None:
@@ -650,15 +731,20 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
         coeff = _cg_doubled(j_left, two_ml, j_right, two_mr, spins[pos], two_m)
         if not coeff:
             continue
-        # Scaling the smaller side by the CG first costs one product per
+        coeff_id = _intern(coeff)
+        # Scaling the smaller side by the CG first takes one product per
         # pair; a leaf side makes it one product per amplitude.
         small, large = sorted((_expand_node(left, postorder, spins, two_ml, memo),
                                _expand_node(right, postorder, spins, two_mr, memo)),
                               key=len)
-        for key_s, amp_s in small.items():
-            scaled = coeff * amp_s
-            for key_l, amp_l in large.items():
-                out[tuple(sorted(key_s + key_l))] = scaled * amp_l
+        for mask_s, id_s in small.items():
+            scaled = _product(coeff_id, id_s)
+            row = _PRODUCTS[scaled]
+            try:
+                out.update({mask_s | mask_l: row[id_l] for mask_l, id_l in large.items()})
+            except KeyError:  # a pair not seen before
+                out.update({mask_s | mask_l: _product(scaled, id_l)
+                            for mask_l, id_l in large.items()})
     if pos < len(spins) - 1:
         memo[key] = out
     return out
@@ -673,15 +759,8 @@ def _expansion(label: CoupledLabel, memo: dict[tuple, dict]) -> StateVector:
         raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
     n = len(postorder[0])
     spins = (1,) * n + tuple(spin.two_j for spin in label.intermediates)
-    amps: dict[int, SignedRadical] = {}
-    for key, amp in _expand_node(len(spins) - 1, postorder, spins,
-                                 label.total_m.two_m, memo).items():
-        config = 0
-        for index, two_m in key:
-            if two_m > 0:
-                config |= 1 << (n - index)
-        amps[config] = amp
-    return StateVector.exact_state(n, amps)
+    ids = _expand_node(len(spins) - 1, postorder, spins, label.total_m.two_m, memo)
+    return StateVector._from_value_ids(n, ids)
 
 
 def expand(label: CoupledLabel) -> StateVector:

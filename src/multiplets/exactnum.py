@@ -91,6 +91,11 @@ class SignedRadical:
             return cls.zero()
         return cls(1 if value > 0 else -1, value * value)
 
+    def __hash__(self) -> int:
+        # The radicand is in lowest terms, so its two integers identify it;
+        # hashing them skips Fraction's modular hash.
+        return hash((self.sign, self.radicand.numerator, self.radicand.denominator))
+
     def __bool__(self) -> bool:
         return self.sign != 0
 

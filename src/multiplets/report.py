@@ -8,6 +8,7 @@ terms are sorted by descending configuration (all-up first).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from .coupling import (
     CoupledLabel,
     CouplingTree,
     StateVector,
+    _PerCall,
     config_to_string,
     expand,
     full_basis,
@@ -101,63 +103,72 @@ def _label_latex(label: CoupledLabel) -> str:
 # Rows and tables
 
 
-def _row_text(label: CoupledLabel, state: StateVector) -> str:
-    terms = "  ".join(
-        f"{_amp_text(amp)}|{config_to_string(config, state.n)}>"
-        for config, amp in state.items()
-    )
+def _row_text(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall) -> str:
+    terms = "  ".join(f"{amps[amp]}|{kets[config]}>" for config, amp in state.items())
     return f"{label}  :  {terms}"
 
 
-def _row_latex(label: CoupledLabel, state: StateVector, eq: str) -> str:
-    terms = "".join(
-        f"{_amp_latex(amp)}\\,{_ket_latex(config, state.n)}"
-        for config, amp in state.items()
-    ).lstrip("+")
-    return rf"{_label_latex(label)} {eq} {terms}"
+def _row_latex(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall,
+               eq: str) -> str:
+    terms = "".join(f"{amps[amp]}\\,{kets[config]}" for config, amp in state.items())
+    return rf"{_label_latex(label)} {eq} {terms.lstrip('+')}"
 
 
-def _row_json(label: CoupledLabel, state: StateVector) -> dict:
+def _row_json(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall) -> dict:
     return {
         "label": label.quantum_numbers(),
         "amplitudes": [
-            {
-                "config": config_to_string(config, state.n),
-                "amp": amp.to_json_dict(),
-            }
+            {"config": kets[config], "amp": amps[amp]}
             for config, amp in state.items()
         ],
     }
 
 
+# The amplitude and configuration formatters of each format's rows.
+_TERM_FORMATS = {
+    "text": (_amp_text, config_to_string),
+    "latex": (_amp_latex, _ket_latex),
+    "json": (SignedRadical.to_json_dict, config_to_string),
+}
+
+
+def _term_memos(fmt: str, n: int) -> tuple[_PerCall, _PerCall]:
+    """Fresh memos of ``fmt``'s amplitude and configuration strings, so one
+    call formats each distinct amplitude and configuration once."""
+    amp_fn, ket_fn = _TERM_FORMATS[fmt]
+    return _PerCall(amp_fn), _PerCall(functools.partial(ket_fn, n=n))
+
+
 def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:
     """All coupled states of a tree, one row per multiplet member."""
     basis = full_basis(tree)
+    if fmt not in _TERM_FORMATS:
+        raise ValueError(f"unknown table format {fmt!r}")
+    amps, kets = _term_memos(fmt, tree.n)
     if fmt == "json":
-        rows = [_row_json(label, state) for label, state in basis]
+        rows = [_row_json(label, state, amps, kets) for label, state in basis]
         text = json.dumps({"tree": tree.spec(), "rows": rows}, indent=2)
     elif fmt == "latex":
-        rows = [_row_latex(label, state, "&=&") for label, state in basis]
+        rows = [_row_latex(label, state, amps, kets, "&=&") for label, state in basis]
         text = "\n".join([r"\begin{eqnarray}", (r"\\" + "\n").join(rows), r"\end{eqnarray}"])
-    elif fmt == "text":
-        rows = [_row_text(label, state) for label, state in basis]
-        text = "\n".join([f"# coupled basis of tree {tree.spec()}"] + rows)
     else:
-        raise ValueError(f"unknown table format {fmt!r}")
+        rows = [_row_text(label, state, amps, kets) for label, state in basis]
+        text = "\n".join([f"# coupled basis of tree {tree.spec()}"] + rows)
     return (text + "\n").encode("utf-8")
 
 
 def emit_state_row(label: CoupledLabel, fmt: str = "text") -> bytes:
     """One expanded coupled state in any of the table formats."""
     state = expand(label)
-    if fmt == "json":
-        text = json.dumps(_row_json(label, state), indent=2)
-    elif fmt == "latex":
-        text = _row_latex(label, state, "=")
-    elif fmt == "text":
-        text = _row_text(label, state)
-    else:
+    if fmt not in _TERM_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    amps, kets = _term_memos(fmt, state.n)
+    if fmt == "json":
+        text = json.dumps(_row_json(label, state, amps, kets), indent=2)
+    elif fmt == "latex":
+        text = _row_latex(label, state, amps, kets, "=")
+    else:
+        text = _row_text(label, state, amps, kets)
     return (text + "\n").encode("utf-8")
 
 

@@ -18,6 +18,7 @@ from multiplets.coupling import (
     cg,
     config_from_string,
     config_to_string,
+    dense_index,
     enumerate_multiplets,
     expand,
     full_basis,
@@ -26,6 +27,7 @@ from multiplets.coupling import (
     triangle_ok,
 )
 from multiplets.exactnum import SignedRadical, radical_sum
+from multiplets.statefile import emit_state_file, parse_state_file
 
 
 def rad(text):
@@ -365,3 +367,62 @@ class TestStateVector:
         assert config_to_string(config_from_string("udu"), 3) == "udu"
         with pytest.raises(ValueError):
             config_from_string("uxd")
+
+
+def _per_amplitude_array(state):
+    """The dense array built one amplitude at a time, as ``to_array`` once did."""
+    arr = np.zeros(1 << state.n, dtype=complex)
+    for config, amp in state.amplitudes.items():
+        arr[dense_index(config, state.n)] = amp.to_float() if state.exact else amp
+    return arr
+
+
+class TestToArray:
+    @pytest.mark.parametrize("spec", ["((((1 2) 3) 4) 5)", "(((1 2) (3 4)) ((5 6) 7))"])
+    def test_full_basis_states(self, spec):
+        for _, state in full_basis(CouplingTree.parse(spec)):
+            assert np.array_equal(state.to_array(), _per_amplitude_array(state))
+
+    def test_exact_state_file_state(self):
+        w3 = expand(label_of(TRIPLE, 1, "3/2", "1/2"))
+        state = parse_state_file(emit_state_file(w3))
+        assert len({id(amp) for amp in state.amplitudes.values()}) == 3
+        assert np.array_equal(state.to_array(), _per_amplitude_array(state))
+        assert np.array_equal(state.to_array(), w3.to_array())
+
+    def test_numeric_state(self):
+        state = StateVector.numeric_state(
+            3, {0: 0.6, 5: 0.48j, 7: -0.64, 2: 0.0}
+        )
+        assert np.array_equal(state.to_array(), _per_amplitude_array(state))
+
+
+def _names_by_walk(tree):
+    """Node names walked from the tree, as every label used to compute them."""
+    names = []
+    for node in tree.internal_nodes():
+        if node is tree.root:
+            names.append("S")
+        else:
+            idx = sorted(tree.node_particles(node))
+            sep = "," if any(i > 9 for i in idx) else ""
+            names.append("S" + sep.join(str(i) for i in idx))
+    return tuple(names)
+
+
+class TestNodeNames:
+    @pytest.mark.parametrize(
+        "tree",
+        [tree for n in range(2, 6) for tree in all_coupling_trees(range(1, n + 1))],
+        ids=str,
+    )
+    def test_names_unchanged(self, tree):
+        assert tree.node_names() == _names_by_walk(tree)
+        assert tree.node_names() is tree.node_names()
+        for label in enumerate_multiplets(tree):
+            assert list(label.quantum_numbers()) == list(tree.node_names()) + ["m"]
+
+    def test_two_digit_particles(self):
+        tree = CouplingTree.parse("((((((((((1 2) 3) 4) 5) 6) 7) 8) 9) 10) 11)")
+        assert tree.node_names() == _names_by_walk(tree)
+        assert tree.node_names()[-2] == "S1,2,3,4,5,6,7,8,9,10"
