@@ -24,6 +24,7 @@ from .report import (
     emit_recoupling,
     emit_state_row,
     emit_table,
+    emit_verify,
     run_measures,
     run_verify,
 )
@@ -87,7 +88,7 @@ def _run(args: argparse.Namespace, out) -> int:
     if args.command == "verify":
         tree = CouplingTree.parse(args.tree)
         report = run_verify(tree, args.tol)
-        out.write(json.dumps(report, indent=2) + "\n")
+        out.write(emit_verify(report).decode("ascii"))
         return 0 if report["pass"] else 1
 
     if args.command == "measure":

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .coupling import (
     CoupledLabel,
@@ -33,7 +34,7 @@ from .measures import (
     meyer_wallach_q,
     persistency,
 )
-from .operators import commuting_set, verify_eigenstate
+from .operators import commuting_set, verify_basis
 
 __all__ = [
     "default_tolerance",
@@ -41,6 +42,7 @@ __all__ = [
     "emit_state_row",
     "emit_recoupling",
     "run_verify",
+    "emit_verify",
     "run_measures",
 ]
 
@@ -184,37 +186,112 @@ def emit_recoupling(coefficients: dict[CoupledLabel, float]) -> bytes:
 # Verification and measurement reports
 
 
+MAX_VERIFY_QUBITS = 12
+
+
 def run_verify(tree: CouplingTree, tol: float | None = None) -> dict:
     """Check every coupled state against the tree's full commuting set.
 
-    Each label is verified as an eigenstate of every internal-node
-    Casimir and the total z projection, with eigenvalues read off the
-    label. Returns a JSON-ready report with per-check residuals.
+    Each label is checked as an eigenstate of every internal-node Casimir
+    and the total z projection, with eigenvalues read off the label, by
+    the exact integer check of ``operators.verify_basis``: the residual of
+    a correct state is exactly 0.0, so it passes at any tolerance,
+    ``tol = 0`` included. Returns a JSON-ready report with per-check
+    residuals; equal checks share one dict. The float path (``to_array``,
+    then ``verify_eigenstate`` per member) is the test oracle, in
+    tests/oracle_verify.py. At most MAX_VERIFY_QUBITS particles.
     """
-    if tree.n > 10:
-        raise ValueError("verification supports at most 10 particles")
+    if tree.n > MAX_VERIFY_QUBITS:
+        raise ValueError(f"verification supports at most {MAX_VERIFY_QUBITS} particles")
     if tol is None:
         tol = default_tolerance()
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    tol = abs(tol)  # -0.0 passed the check above; report it as 0.0
     members = commuting_set(tree)
+    basis = full_basis(tree)
+    residuals = verify_basis(tree, basis).tolist()
+    # A check depends on the label only through the spin (or m) that its
+    # member reads, so each distinct check is built once.
+    checks: dict[tuple, dict] = {}
     results = []
-    all_ok = True
-    for label, exact in full_basis(tree):
-        state = exact.to_array()
-        checks = []
-        for member in members:
-            expected = member.eigenvalue_of(label)
-            ok, residual = verify_eigenstate(member.operator, state, expected, tol)
-            all_ok = all_ok and ok
-            checks.append({
-                "operator": member.name,
-                "eigenvalue": expected,
-                "residual": residual,
-                "pass": ok,
-            })
-        results.append({"label": label.quantum_numbers(), "checks": checks})
+    for (label, _), row in zip(basis, residuals):
+        reads = [spin.two_j for spin in label.intermediates] + [label.total_m.two_m]
+        row_checks = []
+        for k, (member, read, residual) in enumerate(zip(members, reads, row)):
+            key = (k, read, residual)
+            check = checks.get(key)
+            if check is None:
+                check = checks[key] = {
+                    "operator": member.name,
+                    "eigenvalue": member.eigenvalue_of(label),
+                    "residual": residual,
+                    "pass": residual <= tol,
+                }
+            row_checks.append(check)
+        results.append({"label": label.quantum_numbers(), "checks": row_checks})
+    all_ok = all(check["pass"] for check in checks.values())
     return {"tree": tree.spec(), "tol": tol, "pass": all_ok, "results": results}
+
+
+def _json_scalar(value) -> str:
+    """A str, None, bool, int or float as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json_indented(value, indent: str, dicts: dict[int, str]) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` lays it out at the depth
+    of ``indent``. Dicts need str keys; each dict object is formatted once,
+    then looked up in ``dicts`` by identity."""
+    if isinstance(value, dict):
+        text = dicts.get(id(value))
+        if text is None:
+            inner = indent + "  "
+            fields = [encode_basestring_ascii(key) + ": " + (
+                encode_basestring_ascii(item) if type(item) is str
+                else _json_indented(item, inner, dicts)) for key, item in value.items()]
+            text = dicts[id(value)] = _json_block("{", fields, "}", indent)
+        return text
+    if isinstance(value, list):
+        inner = indent + "  "
+        return _json_block("[", [_json_indented(item, inner, dicts) for item in value], "]",
+                           indent)
+    return _json_scalar(value)
+
+
+def _json_block(open_: str, items: list[str], close: str, indent: str) -> str:
+    if not items:
+        return open_ + close
+    inner = "\n" + indent + "  "
+    return open_ + inner + ("," + inner).join(items) + "\n" + indent + close
+
+
+def emit_verify(report: dict) -> bytes:
+    """A ``run_verify`` report as ``json.dumps(report, indent=2)`` writes it,
+    plus a newline, without the pure-Python encoder that ``indent`` selects.
+
+    Strings go through ``encode_basestring_ascii`` and floats through
+    ``float.__repr__`` (NaN and infinities as json.dumps writes them), and
+    a dict that occurs several times, as the shared checks of a report
+    do, is formatted once per call.
+    """
+    return (_json_indented(report, "", {}) + "\n").encode("ascii")
 
 
 def _witness_json(witness) -> list | None:

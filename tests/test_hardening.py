@@ -116,6 +116,10 @@ class TestToleranceValidation:
         assert main(["verify", "(1 2)", "--tol=0"]) == 0
         assert json.loads(capsys.readouterr().out)["tol"] == 0.0
 
+    def test_negative_zero_tol_reads_zero(self, capsys):
+        assert main(["verify", "(1 2)", "--tol=-0.0"]) == 0
+        assert '"tol": 0.0,' in capsys.readouterr().out
+
 
 def _sequential_spec(n: int) -> str:
     spec = "1"
@@ -137,6 +141,14 @@ class TestTreeSizeCap:
     def test_deep_nesting_without_leaves_is_rejected(self):
         with pytest.raises(ValueError, match="at most"):
             CouplingTree.parse("(" * 5000 + "1 2)")
+
+    def test_verify_takes_eleven_particles(self, capsys):
+        assert main(["verify", _sequential_spec(11)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]) == 2048
+
+    def test_verify_refuses_thirteen_particles(self, capsys):
+        err = _run_cli_error(capsys, ["verify", _sequential_spec(13)])
+        assert "at most 12 particles" in err
 
     @pytest.mark.parametrize("command", ["table", "verify"])
     def test_single_particle_tree(self, capsys, command):

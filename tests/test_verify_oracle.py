@@ -1,0 +1,194 @@
+"""The exact, sector-batched ``verify`` against its float oracle.
+
+``tests/oracle_verify.py`` runs the float loop (``to_array``, then
+``verify_eigenstate`` per member). For every tree with n <= 5 and the
+sequential and balanced n = 8 trees, ``run_verify`` must give the same
+labels, operator names and order, eigenvalues and ``pass`` flags, and a
+residual of exactly 0.0 wherever the oracle's is at most 1e-12. Mutated
+bases (a sign flip, an amplitude moved inside or out of its sector, and
+half of a state scaled by sqrt(2/3), then renormalized, which mixes
+kernels) must give the oracle's residuals to 1e-9 relative.
+
+``emit_verify`` is checked against its own oracle, ``json.dumps(report,
+indent=2)``, byte for byte, on real reports and on ``hypothesis`` reports
+with arbitrary floats and Unicode text.
+"""
+
+import json
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from multiplets.coupling import CouplingTree, StateVector, all_coupling_trees, full_basis
+from multiplets.exactnum import SignedRadical
+from multiplets.operators import verify_basis
+from multiplets.report import emit_verify, run_verify
+
+import oracle_verify
+
+SEQUENTIAL_8 = CouplingTree.parse("(((((((1 2) 3) 4) 5) 6) 7) 8)")
+BALANCED_8 = CouplingTree.parse("(((1 2) (3 4)) ((5 6) (7 8)))")
+TREES = ([t for n in (2, 3, 4, 5) for t in all_coupling_trees(range(1, n + 1))]
+         + [SEQUENTIAL_8, BALANCED_8])
+
+
+@pytest.mark.parametrize("tree", TREES, ids=CouplingTree.spec)
+def test_report_matches_the_oracle(tree):
+    report = run_verify(tree, 1e-12)
+    oracle = oracle_verify.run_verify(tree, 1e-12)
+    assert (report["tree"], report["tol"], report["pass"]) == (tree.spec(), 1e-12, True)
+    assert oracle["pass"] is True
+    assert len(report["results"]) == len(oracle["results"]) == 1 << tree.n
+    for row, reference in zip(report["results"], oracle["results"]):
+        assert row["label"] == reference["label"]
+        assert ([(c["operator"], c["eigenvalue"], c["pass"]) for c in row["checks"]]
+                == [(c["operator"], c["eigenvalue"], c["pass"]) for c in reference["checks"]])
+        for check, ref in zip(row["checks"], reference["checks"]):
+            assert ref["residual"] <= 1e-12 and check["residual"] == 0.0
+
+
+def _popcount(config: int) -> int:
+    return bin(config).count("1")
+
+
+def _flip_sign(rng, n, amps):
+    config = rng.choice(sorted(amps))
+    amps[config] = -amps[config]
+    return amps
+
+
+def _move_inside(rng, n, amps):
+    """Swap one amplitude with another entry of its popcount sector (or
+    move it there), where that changes the state."""
+    config = rng.choice(sorted(amps))
+    others = [c for c in range(1 << n) if _popcount(c) == _popcount(config)
+              and c != config and amps.get(c) != amps[config]]
+    if not others:
+        return None
+    other = rng.choice(others)
+    amps[config], amps[other] = amps.get(other), amps[config]
+    return {c: a for c, a in amps.items() if a is not None}
+
+
+def _move_outside(rng, n, amps):
+    config = rng.choice(sorted(amps))
+    free = [c for c in range(1 << n) if _popcount(c) != _popcount(config) and c not in amps]
+    amps[rng.choice(free)] = amps.pop(config)
+    return amps
+
+
+def _mix_kernels(rng, n, amps):
+    """Scale half of the entries by sqrt(2/3), then renormalize."""
+    scale = SignedRadical(1, Fraction(2, 3))
+    for config in sorted(amps)[::2]:
+        amps[config] = amps[config] * scale
+    norm = SignedRadical(1, 1 / sum(a.squared() for a in amps.values()))
+    return {c: a * norm for c, a in amps.items()}
+
+
+MUTATIONS = {"sign": _flip_sign, "inside": _move_inside, "outside": _move_outside,
+             "mixed": _mix_kernels}
+MUTATED_TREES = ["((1 2) 3)", "(((1 2) 3) (4 5))", "((1 2) ((3 4) (5 6)))",
+                 "(((((1 2) 3) 4) 5) 6)"]
+
+
+def _residuals(report: dict) -> np.ndarray:
+    return np.array([[c["residual"] for c in row["checks"]] for row in report["results"]])
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize("spec", MUTATED_TREES)
+def test_mutated_residuals_match_the_oracle(spec, kind):
+    tree = CouplingTree.parse(spec)
+    basis = full_basis(tree)
+    rng = random.Random(f"{spec}:{kind}")
+    mutated = list(basis)
+    candidates = [s for s, (_, state) in enumerate(basis) if len(state.amplitudes) > 1]
+    for s in rng.sample(candidates, min(6, len(candidates))):
+        label, state = basis[s]
+        amps = MUTATIONS[kind](rng, tree.n, dict(state.amplitudes))
+        if amps is not None:
+            mutated[s] = (label, StateVector.exact_state(tree.n, amps))
+    got = verify_basis(tree, mutated)
+    want = _residuals(oracle_verify.run_verify(tree, 1e-12, mutated))
+    failing = want > 1e-12
+    assert failing.any()
+    np.testing.assert_allclose(got[failing], want[failing], rtol=1e-9, atol=0)
+    assert (got[~failing] == 0.0).all()
+    if kind == "outside":
+        assert failing[:, -1].any()  # S_z sees the moved amplitude
+
+
+def test_sign_flip_fails_the_report(monkeypatch):
+    tree = CouplingTree.parse("((1 2) (3 4))")
+    basis = full_basis(tree)
+    label, state = basis[7]
+    amps = dict(state.amplitudes)
+    config = min(amps)
+    amps[config] = -amps[config]
+    basis[7] = (label, StateVector.exact_state(4, amps))
+    monkeypatch.setattr("multiplets.report.full_basis", lambda _: basis)
+    report = run_verify(tree, 1e-12)
+    assert report["pass"] is False
+    failed = [c for c in report["results"][7]["checks"] if not c["pass"]]
+    assert failed and all(c["residual"] > 0.1 for c in failed)
+    assert all(c["pass"] for row in report["results"][:7] for c in row["checks"])
+
+
+def test_integers_of_2_40_are_refused():
+    tree = CouplingTree.parse("(1 2)")
+    basis = full_basis(tree)
+    label, _ = basis[1]  # S = 1, m = 0: ud and du
+    # sqrt(1 - 2^-81) is sqrt(2 (2^81 - 1)) / 2^41: a denominator of 2^41.
+    small = Fraction(1, 1 << 81)
+    amps = {0b10: SignedRadical(1, small), 0b01: SignedRadical(1, 1 - small)}
+    basis[1] = (label, StateVector.exact_state(2, amps))
+    with pytest.raises(ValueError, match="2\\^40"):
+        verify_basis(tree, basis)
+
+
+def _dumps(report) -> bytes:
+    return (json.dumps(report, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("spec", ["(1 2)", "((1 2) (3 4))", "(((1 2) (3 4)) ((5 6) (7 8)))",
+                                  "(((((((1 2) 3) 4) 5) 6) 7) 8)"])
+def test_emitter_matches_json_dumps_on_reports(spec):
+    report = run_verify(CouplingTree.parse(spec), 1e-12)
+    assert emit_verify(report) == _dumps(report)
+
+
+_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+     math.inf, -math.inf, math.nan, 1e16, 1e-7])
+_check = st.fixed_dictionaries({"operator": st.text(), "eigenvalue": _floats,
+                                "residual": _floats, "pass": st.booleans()})
+_report = st.fixed_dictionaries({
+    "tree": st.text(),
+    "tol": _floats,
+    "pass": st.booleans(),
+    "results": st.lists(st.fixed_dictionaries({
+        "label": st.dictionaries(st.text(), st.text(), max_size=4),
+        "checks": st.lists(_check, max_size=4),
+    }), max_size=4),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report)
+@example({"tree": "(1 2)", "tol": -0.0, "pass": True, "results": [
+    {"label": {"S": "1", "m": "0"}, "checks": [
+        {"operator": "S^2", "eigenvalue": 0.0, "residual": -0.0, "pass": True},
+        {"operator": "S^2", "eigenvalue": -0.0, "residual": 0.0, "pass": True},
+        {"operator": "S²\U0001f600\n\"", "eigenvalue": math.nan,
+         "residual": math.inf, "pass": False}]}]})
+def test_emitter_matches_json_dumps(report):
+    assert emit_verify(report) == _dumps(report)
+    # Shared dicts, as run_verify makes for equal checks, print alike.
+    for row in report["results"]:
+        row["checks"] = row["checks"] * 2
+    assert emit_verify(report) == _dumps(report)
