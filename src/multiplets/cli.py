@@ -34,6 +34,10 @@ __all__ = ["main"]
 
 
 def _parse_label(tree: CouplingTree, text: str) -> CoupledLabel:
+    # argparse before Python 3.13 drops the "--" of "--label=--" and hands
+    # back an empty list instead of the text.
+    if not isinstance(text, str):
+        raise ValueError("label must be text, got a bare '--'")
     values = [part.strip() for part in text.replace(",", " ").split()]
     names = list(tree.node_names()) + ["m"]
     if len(values) != len(names):

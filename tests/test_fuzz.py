@@ -8,7 +8,7 @@ whatever text it gets.
 import contextlib
 import io
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multiplets.cli import main
 from multiplets.coupling import CouplingTree, all_coupling_trees
@@ -46,6 +46,7 @@ def _expand_exit_code(tree: str, label: str) -> int:
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_tree_like, _any_text, _valid_specs),
        st.one_of(_label_like, _any_text))
+@example("1", "--")
 def test_expand_exits_zero_or_one(tree, label):
     assert _expand_exit_code(tree, label) in (0, 1)
 
