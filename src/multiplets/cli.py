@@ -15,16 +15,16 @@ last spin is the total S) followed by m, e.g. --label 1,1,2,0.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from .coupling import CoupledLabel, CouplingTree, Spin, SpinProjection, recouple
 from .registry import available_states, named_state
 from .report import (
+    emit_json,
     emit_recoupling,
     emit_state_row,
     emit_table,
-    emit_verify,
     run_measures,
     run_verify,
 )
@@ -48,6 +48,7 @@ def _parse_label(tree: CouplingTree, text: str) -> CoupledLabel:
     return CoupledLabel(tree, intermediates, SpinProjection.of(values[-1]))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multiplets",
@@ -92,7 +93,7 @@ def _run(args: argparse.Namespace, out) -> int:
     if args.command == "verify":
         tree = CouplingTree.parse(args.tree)
         report = run_verify(tree, args.tol)
-        out.write(emit_verify(report).decode("ascii"))
+        out.write(emit_json(report).decode("ascii"))
         return 0 if report["pass"] else 1
 
     if args.command == "measure":
@@ -106,7 +107,7 @@ def _run(args: argparse.Namespace, out) -> int:
             state = named_state(args.name)
             name = args.name
         report = run_measures(state, name=name, z_branches=args.z_branches)
-        out.write(json.dumps(report, indent=2) + "\n")
+        out.write(emit_json(report).decode("ascii"))
         return 0
 
     if args.command == "expand":

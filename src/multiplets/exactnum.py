@@ -22,11 +22,15 @@ class NotClosedError(ArithmeticError):
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Write n >= 1 as s*s*d with d squarefree; return (s, d)."""
+    """Write n >= 1 as s*s*d with d squarefree; return (s, d).
+
+    Trial division stops at 2^20. What is left then must be 1, a prime or
+    a perfect square; anything else raises ValueError.
+    """
     s, d = 1, 1
     m = n
     f = 2
-    while f * f <= m:
+    while f * f <= m and f <= 1 << 20:
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -36,7 +40,12 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= f
         f += 1
-    return s, d * m  # leftover m is 1 or a prime with exponent 1
+    if f * f > m:
+        return s, d * m  # leftover m is 1 or a prime with exponent 1
+    root = math.isqrt(m)
+    if root * root != m:
+        raise ValueError(f"cannot split {n}: {m} has no factor up to 2^20 and is not a square")
+    return s * root, d
 
 
 def _is_square(r: Fraction) -> bool:
@@ -128,7 +137,9 @@ class SignedRadical:
         """Rewrite as coefficient * sqrt(d) with d squarefree.
 
         Returns (coefficient, d); zero is (0, 0). Two radicals can be
-        added exactly iff their d values agree (or either is zero).
+        added exactly iff their d values agree (or either is zero). Raises
+        ValueError when p*q, with its factors up to 2^20 divided out, leaves
+        (2^20 + 1)^2 or more that is not a perfect square.
         """
         if self.sign == 0:
             return Fraction(0), 0

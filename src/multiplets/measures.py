@@ -191,11 +191,6 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def _pure_pair_concurrence(vec: np.ndarray) -> float:
-    """Concurrence 2|ad - bc| of a normalized pure two-qubit state."""
-    return float(2.0 * abs(vec[0] * vec[3] - vec[1] * vec[2]))
-
-
 def three_tangle(psi: StateVector | np.ndarray) -> float:
     """Residual tangle tau = 4 |d1 - 2 d2 + 4 d3| of a pure 3-qubit state.
 

@@ -9,7 +9,6 @@ terms are sorted by descending configuration (all-up first).
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from fractions import Fraction
@@ -42,7 +41,7 @@ __all__ = [
     "emit_state_row",
     "emit_recoupling",
     "run_verify",
-    "emit_verify",
+    "emit_json",
     "run_measures",
 ]
 
@@ -105,7 +104,8 @@ def _label_latex(label: CoupledLabel) -> str:
 # Rows and tables
 
 
-def _row_text(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall) -> str:
+def _row_text(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall,
+              eq: str) -> str:
     terms = "  ".join(f"{amps[amp]}|{kets[config]}>" for config, amp in state.items())
     return f"{label}  :  {terms}"
 
@@ -116,7 +116,8 @@ def _row_latex(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _P
     return rf"{_label_latex(label)} {eq} {terms.lstrip('+')}"
 
 
-def _row_json(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall) -> dict:
+def _row_json(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall,
+              eq: str) -> dict:
     return {
         "label": label.quantum_numbers(),
         "amplitudes": [
@@ -126,35 +127,33 @@ def _row_json(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _Pe
     }
 
 
-# The amplitude and configuration formatters of each format's rows.
+# The amplitude, configuration and row formatters of each format.
 _TERM_FORMATS = {
-    "text": (_amp_text, config_to_string),
-    "latex": (_amp_latex, _ket_latex),
-    "json": (SignedRadical.to_json_dict, config_to_string),
+    "text": (_amp_text, config_to_string, _row_text),
+    "latex": (_amp_latex, _ket_latex, _row_latex),
+    "json": (SignedRadical.to_json_dict, config_to_string, _row_json),
 }
 
 
-def _term_memos(fmt: str, n: int) -> tuple[_PerCall, _PerCall]:
-    """Fresh memos of ``fmt``'s amplitude and configuration strings, so one
-    call formats each distinct amplitude and configuration once."""
-    amp_fn, ket_fn = _TERM_FORMATS[fmt]
-    return _PerCall(amp_fn), _PerCall(functools.partial(ket_fn, n=n))
+def _format_rows(pairs, n: int, fmt: str, what: str, eq: str) -> list:
+    """The rows of (label, state) pairs in ``fmt``; ``eq`` is the LaTeX
+    relation, which the other formats ignore. One call formats each
+    distinct amplitude and configuration once."""
+    if fmt not in _TERM_FORMATS:
+        raise ValueError(f"unknown {what} {fmt!r}")
+    amp_fn, ket_fn, row_fn = _TERM_FORMATS[fmt]
+    amps, kets = _PerCall(amp_fn), _PerCall(functools.partial(ket_fn, n=n))
+    return [row_fn(label, state, amps, kets, eq) for label, state in pairs]
 
 
 def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:
     """All coupled states of a tree, one row per multiplet member."""
-    basis = full_basis(tree)
-    if fmt not in _TERM_FORMATS:
-        raise ValueError(f"unknown table format {fmt!r}")
-    amps, kets = _term_memos(fmt, tree.n)
+    rows = _format_rows(full_basis(tree), tree.n, fmt, "table format", "&=&")
     if fmt == "json":
-        rows = [_row_json(label, state, amps, kets) for label, state in basis]
-        text = json.dumps({"tree": tree.spec(), "rows": rows}, indent=2)
-    elif fmt == "latex":
-        rows = [_row_latex(label, state, amps, kets, "&=&") for label, state in basis]
+        return emit_json({"tree": tree.spec(), "rows": rows})
+    if fmt == "latex":
         text = "\n".join([r"\begin{eqnarray}", (r"\\" + "\n").join(rows), r"\end{eqnarray}"])
     else:
-        rows = [_row_text(label, state, amps, kets) for label, state in basis]
         text = "\n".join([f"# coupled basis of tree {tree.spec()}"] + rows)
     return (text + "\n").encode("utf-8")
 
@@ -162,16 +161,8 @@ def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:
 def emit_state_row(label: CoupledLabel, fmt: str = "text") -> bytes:
     """One expanded coupled state in any of the table formats."""
     state = expand(label)
-    if fmt not in _TERM_FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
-    amps, kets = _term_memos(fmt, state.n)
-    if fmt == "json":
-        text = json.dumps(_row_json(label, state, amps, kets), indent=2)
-    elif fmt == "latex":
-        text = _row_latex(label, state, amps, kets, "=")
-    else:
-        text = _row_text(label, state, amps, kets)
-    return (text + "\n").encode("utf-8")
+    row, = _format_rows([(label, state)], state.n, fmt, "format", "=")
+    return emit_json(row) if fmt == "json" else (row + "\n").encode("utf-8")
 
 
 def emit_recoupling(coefficients: dict[CoupledLabel, float]) -> bytes:
@@ -179,7 +170,7 @@ def emit_recoupling(coefficients: dict[CoupledLabel, float]) -> bytes:
         {"label": label.quantum_numbers(), "coefficient": coeff}
         for label, coeff in coefficients.items()
     ]
-    return (json.dumps({"coefficients": rows}, indent=2) + "\n").encode("utf-8")
+    return emit_json({"coefficients": rows})
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +226,7 @@ def run_verify(tree: CouplingTree, tol: float | None = None) -> dict:
 
 
 def _json_scalar(value) -> str:
-    """A str, None, bool, int or float as ``json.dumps`` writes it."""
+    """A str, None, bool, int or float as the ``json`` module writes it."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -255,18 +246,20 @@ def _json_scalar(value) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _json_indented(value, indent: str, dicts: dict[int, str]) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` lays it out at the depth
-    of ``indent``. Dicts need str keys; each dict object is formatted once,
-    then looked up in ``dicts`` by identity."""
+def _json_indented(value, indent: str, dicts: dict[tuple[int, int], str]) -> str:
+    """``value`` as the ``json`` module lays it out with ``indent=2``, at
+    the depth of ``indent``. Dicts need str keys; each dict object is
+    formatted once per depth, then looked up in ``dicts`` by identity and
+    depth."""
     if isinstance(value, dict):
-        text = dicts.get(id(value))
+        key = (id(value), len(indent))
+        text = dicts.get(key)
         if text is None:
             inner = indent + "  "
-            fields = [encode_basestring_ascii(key) + ": " + (
+            fields = [encode_basestring_ascii(name) + ": " + (
                 encode_basestring_ascii(item) if type(item) is str
-                else _json_indented(item, inner, dicts)) for key, item in value.items()]
-            text = dicts[id(value)] = _json_block("{", fields, "}", indent)
+                else _json_indented(item, inner, dicts)) for name, item in value.items()]
+            text = dicts[key] = _json_block("{", fields, "}", indent)
         return text
     if isinstance(value, list):
         inner = indent + "  "
@@ -282,22 +275,17 @@ def _json_block(open_: str, items: list[str], close: str, indent: str) -> str:
     return open_ + inner + ("," + inner).join(items) + "\n" + indent + close
 
 
-def emit_verify(report: dict) -> bytes:
-    """A ``run_verify`` report as ``json.dumps(report, indent=2)`` writes it,
-    plus a newline, without the pure-Python encoder that ``indent`` selects.
+def emit_json(value) -> bytes:
+    """``value`` as the ``json`` module writes it with ``indent=2``, plus a
+    newline, without the pure-Python encoder that ``indent`` selects.
 
-    Strings go through ``encode_basestring_ascii`` and floats through
-    ``float.__repr__`` (NaN and infinities as json.dumps writes them), and
-    a dict that occurs several times, as the shared checks of a report
-    do, is formatted once per call.
+    This is the package's only JSON writer; ``json`` is its oracle in
+    ``tests/``. Strings go through ``encode_basestring_ascii``, floats
+    through ``float.__repr__``, and a dict met several times at one depth
+    (the shared checks of ``verify``, the amplitudes of a table) is
+    formatted once per call.
     """
-    return (_json_indented(report, "", {}) + "\n").encode("ascii")
-
-
-def _witness_json(witness) -> list | None:
-    if witness is None:
-        return None
-    return [[site, basis.value] for site, basis in witness]
+    return (_json_indented(value, "", {}) + "\n").encode("ascii")
 
 
 def run_measures(state: StateVector, name: str | None = None,
@@ -327,7 +315,8 @@ def run_measures(state: StateVector, name: str | None = None,
             {
                 "pair": list(r.pair),
                 "connected": r.connected,
-                "witness": _witness_json(r.witness),
+                "witness": None if r.witness is None
+                else [[site, basis.value] for site, basis in r.witness],
             }
             for r in pairs
         ]

@@ -16,6 +16,7 @@ import math
 
 from .coupling import StateVector, config_from_string, config_to_string
 from .exactnum import SignedRadical
+from .report import emit_json
 
 __all__ = ["StateFileError", "parse_state_file", "emit_state_file"]
 
@@ -87,16 +88,14 @@ def _parse_amp(raw: object, flavor: str) -> object:
 
 
 def emit_state_file(state: StateVector) -> bytes:
-    entries = []
-    for config, amp in state.items():
-        if state.exact:
-            amp_json = amp.to_json_dict()
-        else:
-            amp_json = {"re": amp.real, "im": amp.imag}
-        entries.append({"config": config_to_string(config, state.n), "amp": amp_json})
+    entries = [
+        {"config": config_to_string(config, state.n),
+         "amp": amp.to_json_dict() if state.exact else {"re": amp.real, "im": amp.imag}}
+        for config, amp in state.items()
+    ]
     doc = {
         "n": state.n,
         "flavor": "exact" if state.exact else "numeric",
         "amplitudes": entries,
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return emit_json(doc)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,45 @@ class TestAddition:
     def test_sum_with_leftover_classes_raises(self):
         with pytest.raises(NotClosedError):
             radical_sum([sqrt_of(2), sqrt_of(3), sqrt_of(5, sign=-1)])
+
+
+
+# Two Mersenne primes, far above the trial-division bound of 2^20.
+M31, M61 = 2**31 - 1, 2**61 - 1
+
+
+class TestCanonical:
+    def test_small_radicands(self):
+        assert sqrt_of(1, 2).canonical() == (Fraction(1, 2), 2)
+        assert sqrt_of(8, 9, sign=-1).canonical() == (Fraction(-2, 3), 2)
+        assert sqrt_of(9, 4).canonical() == (Fraction(3, 2), 1)
+        assert SignedRadical.zero().canonical() == (Fraction(0), 0)
+
+    def test_square_of_large_factors_is_quick(self):
+        # 2^40 + 1 = 257 * 4278255361: the cofactor left at the bound is a square.
+        start = time.perf_counter()
+        radical = SignedRadical(1, Fraction(1, (2**40 + 1) ** 2))
+        assert radical.canonical() == (Fraction(1, 2**40 + 1), 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_prime_below_the_square_of_the_bound(self):
+        assert sqrt_of(3 * M31, 8).canonical() == (Fraction(1, 4), 6 * M31)
+
+    def test_square_of_a_large_prime_times_a_kernel(self):
+        assert sqrt_of(5 * M61**2).canonical() == (Fraction(M61), 5)
+
+    @pytest.mark.parametrize("p", [M31 * M61, M61, M31**3], ids=["two_primes", "prime", "cube"])
+    def test_unsplittable_radicand_raises_quickly(self, p):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot split"):
+            sqrt_of(1, p).canonical()
+        assert time.perf_counter() - start < 1.0
+
+    @given(st.integers(1, 10**6), st.integers(1, 10**6))
+    def test_coefficient_and_kernel_rebuild_the_radicand(self, p, q):
+        coeff, kernel = sqrt_of(p, q).canonical()
+        assert coeff * coeff * kernel == Fraction(p, q)
+        assert all(kernel % (f * f) for f in range(2, math.isqrt(kernel) + 1))
 
 
 class TestFloat:

@@ -4,7 +4,8 @@ Each case runs ``multiplets.cli.main(argv)`` and checks the exit code and
 stdout against ``tests/golden/``. Table and expansion output is compared
 byte for byte. Reports that carry floats (verify, measure, recouple) are
 compared as parsed JSON: floats within 1e-12, key order and every other
-value exact.
+value exact. Every JSON output, of any command, must also be the bytes
+that ``json.dumps(..., indent=2)`` writes for its own parsed value.
 
 The goldens are a fixed reference for refactors that must not change
 output. Record them only from a known-good commit, with
@@ -102,6 +103,8 @@ def test_golden(name):
         assert stdout == want
     else:
         _assert_json_matches(json.loads(stdout), json.loads(want))
+    if mode == "json" or argv[-2:] == ["--format", "json"]:
+        assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
 
 def _record() -> None:

@@ -3,12 +3,20 @@ traceback, and never a silent NaN with exit 0."""
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiplets.cli import main
-from multiplets.coupling import MAX_TREE_LEAVES, CouplingTree, Spin, SpinProjection
+from multiplets.coupling import (
+    MAX_TREE_LEAVES,
+    CouplingTree,
+    Spin,
+    SpinProjection,
+    StateVector,
+    full_basis,
+)
 from multiplets.exactnum import SignedRadical
 from multiplets.report import TOLERANCE_ENV_VAR
 from multiplets.statefile import StateFileError, parse_state_file
@@ -175,3 +183,19 @@ class TestLabelText:
         assert Spin.of("3/2") == Spin.of("1.5") == Spin(3)
         assert Spin.of("1") == Spin.of(" 1 ") == Spin(2)
         assert SpinProjection.of("-1/2") == SpinProjection.of("-.5") == SpinProjection(-1)
+
+
+def test_unsplittable_amplitude_in_verify_is_one_error_line(monkeypatch, capsys):
+    # sqrt(1/N) with N a product of two primes above 2^20 has no exact
+    # squarefree kernel that trial division up to 2^20 can find.
+    tree = CouplingTree.parse("(1 2)")
+    basis = full_basis(tree)
+    label, _ = basis[1]  # S = 1, m = 0: ud and du
+    small = Fraction(1, (2**31 - 1) * (2**61 - 1))
+    amps = {0b10: SignedRadical(1, small), 0b01: SignedRadical(1, 1 - small)}
+    basis[1] = (label, StateVector.exact_state(2, amps))
+    monkeypatch.setattr("multiplets.report.full_basis", lambda _: basis)
+    start = time.perf_counter()
+    err = _run_cli_error(capsys, ["verify", "(1 2)"])
+    assert time.perf_counter() - start < 1.0
+    assert "cannot split" in err

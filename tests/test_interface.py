@@ -42,6 +42,15 @@ class TestStateFile:
             state = named_state(name)
             assert parse_state_file(emit_state_file(state)) == state
 
+    @pytest.mark.parametrize("state", [
+        named_state("w4"),
+        StateVector.numeric_state(2, {0b10: complex(-0.0, 0.6), 0b01: complex(0.8, -0.0)}),
+    ], ids=["exact", "numeric"])
+    def test_emitted_bytes_are_json_dumps(self, state):
+        data = emit_state_file(state)
+        assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+        assert b"-0.0" in data or state.exact
+
     def test_round_trip_numeric(self):
         state = named_state("dicke42").to_numeric()
         back = parse_state_file(emit_state_file(state))

@@ -9,9 +9,11 @@ bases (a sign flip, an amplitude moved inside or out of its sector, and
 half of a state scaled by sqrt(2/3), then renormalized, which mixes
 kernels) must give the oracle's residuals to 1e-9 relative.
 
-``emit_verify`` is checked against its own oracle, ``json.dumps(report,
-indent=2)``, byte for byte, on real reports and on ``hypothesis`` reports
-with arbitrary floats and Unicode text.
+``emit_json``, the package's only JSON writer, is checked against its own
+oracle, ``json.dumps(value, indent=2)``, byte for byte, on real reports
+and on ``hypothesis`` JSON values: nested dicts and lists, one dict object
+reached at several depths, Unicode text, ints, bools, None and arbitrary
+floats.
 """
 
 import json
@@ -26,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 from multiplets.coupling import CouplingTree, StateVector, all_coupling_trees, full_basis
 from multiplets.exactnum import SignedRadical
 from multiplets.operators import verify_basis
-from multiplets.report import emit_verify, run_verify
+from multiplets.report import emit_json, run_verify
 
 import oracle_verify
 
@@ -151,44 +153,45 @@ def test_integers_of_2_40_are_refused():
         verify_basis(tree, basis)
 
 
-def _dumps(report) -> bytes:
-    return (json.dumps(report, indent=2) + "\n").encode()
+def _dumps(value) -> bytes:
+    return (json.dumps(value, indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize("spec", ["(1 2)", "((1 2) (3 4))", "(((1 2) (3 4)) ((5 6) (7 8)))",
                                   "(((((((1 2) 3) 4) 5) 6) 7) 8)"])
-def test_emitter_matches_json_dumps_on_reports(spec):
+def test_writer_matches_json_dumps_on_reports(spec):
     report = run_verify(CouplingTree.parse(spec), 1e-12)
-    assert emit_verify(report) == _dumps(report)
+    assert emit_json(report) == _dumps(report)
 
 
 _floats = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
      math.inf, -math.inf, math.nan, 1e16, 1e-7])
-_check = st.fixed_dictionaries({"operator": st.text(), "eigenvalue": _floats,
-                                "residual": _floats, "pass": st.booleans()})
-_report = st.fixed_dictionaries({
-    "tree": st.text(),
-    "tol": _floats,
-    "pass": st.booleans(),
-    "results": st.lists(st.fixed_dictionaries({
-        "label": st.dictionaries(st.text(), st.text(), max_size=4),
-        "checks": st.lists(_check, max_size=4),
-    }), max_size=4),
-})
+_scalars = st.none() | st.booleans() | st.integers() | _floats | st.text()
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+def test_a_dict_at_two_depths_keeps_each_depth():
+    shared = {"a": 1, "b": [2.5, "x"]}
+    value = {"x": shared, "y": [shared, {"z": shared}], "w": shared}
+    assert emit_json(value) == _dumps(value)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_report)
+@given(_values)
 @example({"tree": "(1 2)", "tol": -0.0, "pass": True, "results": [
     {"label": {"S": "1", "m": "0"}, "checks": [
         {"operator": "S^2", "eigenvalue": 0.0, "residual": -0.0, "pass": True},
         {"operator": "S^2", "eigenvalue": -0.0, "residual": 0.0, "pass": True},
-        {"operator": "S²\U0001f600\n\"", "eigenvalue": math.nan,
+        {"operator": "S\u00b2\U0001f600\n\"", "eigenvalue": math.nan,
          "residual": math.inf, "pass": False}]}]})
-def test_emitter_matches_json_dumps(report):
-    assert emit_verify(report) == _dumps(report)
-    # Shared dicts, as run_verify makes for equal checks, print alike.
-    for row in report["results"]:
-        row["checks"] = row["checks"] * 2
-    assert emit_verify(report) == _dumps(report)
+@example([5e-324, -5e-324, 1e308, -0.0, math.nan, math.inf, -math.inf, True, None, -7, 2**70])
+def test_writer_matches_json_dumps(value):
+    assert emit_json(value) == _dumps(value)
+    # The same objects again, one and two levels deeper: a dict object
+    # reached at several depths is laid out at each depth.
+    nested = {"first": value, "again": [value, {"deeper": value}]}
+    assert emit_json(nested) == _dumps(nested)
