@@ -186,12 +186,12 @@ def test_a_dict_at_two_depths_keeps_each_depth():
     {"label": {"S": "1", "m": "0"}, "checks": [
         {"operator": "S^2", "eigenvalue": 0.0, "residual": -0.0, "pass": True},
         {"operator": "S^2", "eigenvalue": -0.0, "residual": 0.0, "pass": True},
-        {"operator": "S\u00b2\U0001f600\n\"", "eigenvalue": math.nan,
+        {"operator": "S²\U0001f600\n\"", "eigenvalue": math.nan,
          "residual": math.inf, "pass": False}]}]})
 @example([5e-324, -5e-324, 1e308, -0.0, math.nan, math.inf, -math.inf, True, None, -7, 2**70])
 def test_writer_matches_json_dumps(value):
     assert emit_json(value) == _dumps(value)
-    # The same objects again, one and two levels deeper: a dict object
-    # reached at several depths is laid out at each depth.
-    nested = {"first": value, "again": [value, {"deeper": value}]}
+    # The same objects again at three depths, twice at one of them: a dict
+    # object is laid out at each depth it is reached at.
+    nested = {"first": value, "again": [value, {"deeper": value}], "twice": [value, value]}
     assert emit_json(nested) == _dumps(nested)
