@@ -518,6 +518,12 @@ class _PerCall(dict):
         return value
 
 
+# Most particles a state may have as a dense array: 2**24 complex values
+# take 256 MB. ``StateVector.to_array`` refuses larger states before it
+# allocates anything.
+MAX_DENSE_QUBITS = 24
+
+
 @dataclass(frozen=True)
 class StateVector:
     """An n-qubit pure state, either exact (SignedRadical) or numeric.
@@ -625,7 +631,13 @@ class StateVector:
 
     def to_array(self) -> np.ndarray:
         """Dense complex array in up-first basis order. An exact state
-        converts each distinct value once."""
+        converts each distinct value once. Raises ValueError above
+        MAX_DENSE_QUBITS particles."""
+        if self.n > MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"a dense array of {self.n} particles needs 2**{self.n} amplitudes; "
+                f"at most {MAX_DENSE_QUBITS} particles are supported"
+            )
         count = len(self.amplitudes)
         values = self.amplitudes.values()
         if self.exact:

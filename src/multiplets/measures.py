@@ -5,20 +5,26 @@ single-site linear-entropy form, Wootters concurrence, the residual
 three-tangle, projective measurement branching over the three Pauli
 bases, persistency of entanglement and pairwise connectedness searches.
 
-The searches enumerate measurement branches in one batched contraction per
-site set (``_all_branches``): k ``tensordot`` calls against the stacked
-(basis, outcome, component) projector give every outcome of every Pauli
-basis assignment of the k measured sites at once. That tensor holds
-6**k * 2**(n-k) complex values per site set, which is why the searches
-accept at most MAX_SEARCH_QUBITS particles.
+Every measurement branch comes from one engine (``_branch_blocks``) that
+works a level, a number k of measured sites, at a time: one integer gather
+lays out all given k-site sets as one matrix, and one ``matmul`` with the
+k-fold Kronecker product of the Pauli projectors gives every outcome of
+every basis assignment of every site set, unnormalized. It runs in three
+blocks, one per basis of the first measured site, to keep memory flat.
+Persistency makes one engine call per level, connectedness one for all
+pairs at level n - 2, and ``is_pair_connectable`` and ``measure_branches``
+are one-site-set calls. A level holds 6**k * 2**(n-k) complex values per
+site set, which is why the searches accept at most MAX_SEARCH_QUBITS
+particles.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -243,31 +249,128 @@ class MeasurementBranch:
     state: StateVector
 
 
-def _all_branches(arr: np.ndarray, n: int, sites: Sequence[int],
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Every outcome branch of measuring ``sites`` in every Pauli assignment.
+def _index(n: int, site_sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Dense-array indices that gather the k-site sets ``site_sets`` (each
+    ascending) into one (2**(n-k) * S, 2**k) matrix.
 
-    Returns (probs, posts) of shapes (3**k, 2**k) and (3**k, 2**k, 2**(n-k)):
-    the Born probability and the renormalized post-state on the remaining
-    particles (original order), NaN where the probability is 0. Rows follow
-    ``itertools.product(MeasurementBasis, repeat=k)`` over the sites in
-    ascending order; outcomes within a row follow the product of each
-    basis's outcomes.
+    Row (c, s) holds value c of site set s's remaining particles (particle
+    order); column a holds the measured bits, the lowest site most
+    significant.
     """
-    k = len(sites)
-    measured = sorted((site - 1 for site in sites), reverse=True)
-    rest = [q for q in range(n) if q not in measured]
-    t = arr.reshape([2] * n).transpose(measured + rest)
-    # Contract the highest site first; each step appends (basis, outcome) axes.
-    for _ in range(k):
-        t = np.tensordot(t, _PROJECTOR, axes=([0], [2]))
-    t = t.reshape((1 << (n - k),) + (3, 2) * k)
-    bases = list(range(2 * k - 1, 0, -2))  # ascending sites
-    outcomes = [axis + 1 for axis in bases]
-    posts = t.transpose(bases + outcomes + [0]).reshape(3 ** k, 1 << k, 1 << (n - k))
-    probs = np.einsum("rci,rci->rc", posts.conj(), posts).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return probs, posts / np.sqrt(probs)[..., None]
+    k = len(site_sets[0])
+    positions = np.arange(1 << n).reshape([2] * n)
+    groups = [
+        positions.transpose([q - 1 for q in range(1, n + 1) if q not in sites]
+                            + [q - 1 for q in sites]).reshape(1 << (n - k), 1 << k)
+        for sites in site_sets
+    ]
+    return np.stack(groups, axis=1).reshape(-1, 1 << k)
+
+
+@functools.cache
+def _level_index(n: int, k: int) -> np.ndarray:
+    """``_index`` of every k-site set, in ``itertools.combinations`` order.
+    Only the searches use it, so n <= MAX_SEARCH_QUBITS bounds the cache."""
+    index = _index(n, list(itertools.combinations(range(1, n + 1), k)))
+    index.flags.writeable = False  # shared by every caller
+    return index
+
+
+@functools.cache
+def _projector(k: int) -> np.ndarray:
+    """The k-fold Kronecker product of _PROJECTOR, transposed and split by
+    the basis of the first measured site: shape (3, 2**k, 3**(k-1) * 2**k).
+    Columns run over the other sites' bases in product order, then over the
+    outcomes of all k sites."""
+    p = _PROJECTOR
+    for _ in range(k - 1):
+        p = np.einsum("BOC,boc->BbOoCc", p, _PROJECTOR).reshape(
+            3 * len(p), 2 * p.shape[1], 2 * p.shape[2])
+    p = np.ascontiguousarray(p.reshape(3, -1, 1 << k).transpose(0, 2, 1))
+    p.flags.writeable = False  # shared by every caller
+    return p
+
+
+def _branch_blocks(arr: np.ndarray, n: int, index: np.ndarray) -> Iterator[np.ndarray]:
+    """Unnormalized branches of measuring the site sets gathered by ``index``
+    in every Pauli assignment: one block per basis (Z, X, Y) of the first
+    measured site, so only a third of the level is held at once.
+
+    A block has shape (2**(n-k), S, 3**(k-1), 2**k): the post-state's value
+    on the remaining particles (original order), the site set, the bases of
+    the other measured sites in ``itertools.product`` order, and the outcome
+    in the product of each basis's outcomes. With the components leading,
+    the product and Bell tests run over long contiguous rows of branches.
+    """
+    k = index.shape[1].bit_length() - 1
+    gathered = arr[index]
+    shape = (1 << (n - k), len(index) >> (n - k), -1, 1 << k)
+    for projector in _projector(k):
+        yield (gathered @ projector).reshape(shape)
+
+
+def _product_rows(branches: np.ndarray) -> np.ndarray:
+    """Which (site set, assignment) rows of a branch block leave every
+    outcome either below PROB_CUTOFF or fully product: every single-site
+    reduced purity at least 1 - PURITY_TOL.
+
+    The test runs on the unnormalized branches. A remaining site's reduced
+    matrix has the weights w0, w1 of its two values on the diagonal and
+    r = sum a0 conj(a1) off it; with p = w0 + w1 the branch probability,
+    its purity (w0**2 + w1**2 + 2 |r|**2) / p**2 is at least 1 - PURITY_TOL
+    exactly when w0 w1 - |r|**2 <= (PURITY_TOL / 2) p**2. Sites are tested
+    in turn, stopping once no row is left.
+    """
+    dim = len(branches)
+    good = np.ones(branches.shape[1:3], dtype=bool)
+    if dim <= 2:
+        return good  # a state on at most one particle is product
+    weights = branches.real ** 2 + branches.imag ** 2
+    p = weights.sum(axis=0)
+    negligible = p < PROB_CUTOFF
+    bound = (0.5 * PURITY_TOL) * p * p
+    for site in range(dim.bit_length() - 1):
+        # (earlier sites, value of this site, later sites, branch)
+        shape = (1 << site, 2, dim >> (site + 1)) + branches.shape[1:]
+        t = branches.reshape(shape)
+        r = (t[:, 0] * t[:, 1].conj()).sum(axis=(0, 1))
+        w0 = weights.reshape(shape)[:, 0].sum(axis=(0, 1))
+        good &= (negligible | (w0 * (p - w0) - (r.real ** 2 + r.imag ** 2) <= bound)).all(axis=-1)
+        if not good.any():
+            break
+    return good
+
+
+def _bell_rows(branches: np.ndarray) -> np.ndarray:
+    """Which (site set, assignment) rows of a two-qubit branch block leave
+    every outcome either below PROB_CUTOFF or a Bell pair. An unnormalized
+    branch a of probability p has concurrence 2 |a0 a3 - a1 a2| / p."""
+    p = (branches.real ** 2 + branches.imag ** 2).sum(axis=0)
+    a0, a1, a2, a3 = branches
+    twice_det = 2.0 * np.abs(a0 * a3 - a1 * a2)
+    return ((p < PROB_CUTOFF) | ~(twice_det < (1.0 - BELL_TOL) * p)).all(axis=-1)
+
+
+def _first_bell_rows(arr: np.ndarray, n: int, index: np.ndarray) -> list[int | None]:
+    """For each site set gathered by ``index`` (all but two sites), the
+    first assignment in product order that leaves the other two a Bell pair
+    on every branch, or None. Stops once every site set has one."""
+    first: list[int | None] = [None] * (len(index) >> 2)
+    offset = 0
+    for block in _branch_blocks(arr, n, index):
+        good = _bell_rows(block)
+        for s in np.flatnonzero(good.any(axis=1)):
+            if first[s] is None:
+                first[s] = offset + int(np.argmax(good[s]))
+        if None not in first:
+            break
+        offset += good.shape[1]
+    return first
+
+
+def _witness(sites: Sequence[int], row: int) -> tuple[tuple[int, MeasurementBasis], ...]:
+    assignments = itertools.product(MeasurementBasis, repeat=len(sites))
+    return tuple(zip(sites, next(itertools.islice(assignments, row, None))))
 
 
 def measure_branches(psi: StateVector | np.ndarray, site: int,
@@ -282,37 +385,16 @@ def measure_branches(psi: StateVector | np.ndarray, site: int,
         raise ValueError(f"site {site} out of range for {n} particles")
     if n < 2:
         raise ValueError("measuring the only particle leaves no state behind")
-    probs, posts = _all_branches(arr, n, [site])
-    row = list(MeasurementBasis).index(basis)
+    blocks = _branch_blocks(arr, n, _index(n, [[site]]))
+    block = next(itertools.islice(blocks, list(MeasurementBasis).index(basis), None))
+    posts = np.ascontiguousarray(block.reshape(-1, 2).T)
+    probs = np.einsum("ci,ci->c", posts.conj(), posts).real
     return [
         MeasurementBranch(probability=float(prob), outcome=label,
-                          state=StateVector.from_array(post))
-        for (label, _), prob, post in zip(_OUTCOMES[basis], probs[row], posts[row])
+                          state=StateVector.from_array(post / np.sqrt(prob)))
+        for (label, _), prob, post in zip(_OUTCOMES[basis], probs, posts)
         if not prob < PROB_CUTOFF
     ]
-
-
-def _fully_product(states: np.ndarray, m: int) -> np.ndarray:
-    """Which of the m-qubit ``states`` (last axis) have every single-site
-    reduced purity at least 1 - PURITY_TOL; states on one qubit always do.
-
-    A site's reduced matrix has the weights w0, w1 of its two values on
-    the diagonal and r = sum a0 conj(a1) off it, so its purity is
-    w0**2 + w1**2 + 2 |r|**2.
-    """
-    if m <= 1:
-        return np.ones(states.shape[:-1], dtype=bool)
-    flat = states.reshape(-1, 1 << m)
-    weights = flat.real ** 2 + flat.imag ** 2
-    product = np.ones(len(flat), dtype=bool)
-    for site in range(m):
-        shape = (len(flat), 1 << site, 2, 1 << (m - 1 - site))
-        diag = weights.reshape(shape).sum(axis=(1, 3))
-        t = flat.reshape(shape)
-        off = np.einsum("xab,xab->x", t[:, :, 0], t[:, :, 1].conj())
-        purity = (diag ** 2).sum(axis=1) + 2.0 * (off.real ** 2 + off.imag ** 2)
-        product &= purity >= 1.0 - PURITY_TOL
-    return product.reshape(states.shape[:-1])
 
 
 def persistency(psi: StateVector | np.ndarray, *, k_max: int | None = None) -> int | None:
@@ -329,16 +411,14 @@ def persistency(psi: StateVector | np.ndarray, *, k_max: int | None = None) -> i
         raise ValueError(f"persistency search is exponential; n <= {MAX_SEARCH_QUBITS} only")
     if k_max is None:
         k_max = n
-    if _fully_product(arr, n):
+    if _product_rows(arr.reshape(-1, 1, 1, 1)).all():
         return 0
     for k in range(1, min(k_max, n) + 1):
         if n - k <= 1:
             return k  # a post-state on at most one particle is product
-        for sites in itertools.combinations(range(1, n + 1), k):
-            probs, posts = _all_branches(arr, n, sites)
-            product = _fully_product(posts, n - k)
-            if ((probs < PROB_CUTOFF) | product).all(axis=1).any():
-                return k
+        blocks = _branch_blocks(arr, n, _level_index(n, k))
+        if any(_product_rows(block).any() for block in blocks):
+            return k
     return None
 
 
@@ -359,14 +439,10 @@ def is_pair_connectable(psi: StateVector | np.ndarray, i: int, j: int,
     if n - 2 < 1:
         raise ValueError("need at least one particle outside the pair")
     others = [k for k in range(1, n + 1) if k not in (i, j)]
-    probs, pairs = _all_branches(arr, n, others)
-    conc = 2.0 * np.abs(pairs[..., 0] * pairs[..., 3] - pairs[..., 1] * pairs[..., 2])
-    failing = ~(probs < PROB_CUTOFF) & (conc < 1.0 - BELL_TOL)
-    rows = np.flatnonzero(~failing.any(axis=1))
-    if rows.size == 0:
+    [row] = _first_bell_rows(arr, n, _index(n, [others]))
+    if row is None:
         return False, None
-    assignments = itertools.product(MeasurementBasis, repeat=len(others))
-    return True, tuple(zip(others, next(itertools.islice(assignments, int(rows[0]), None))))
+    return True, _witness(others, row)
 
 
 @dataclass(frozen=True)
@@ -377,12 +453,24 @@ class PairReport:
 
 
 def maximal_connectedness(psi: StateVector | np.ndarray) -> tuple[bool, list[PairReport]]:
-    """Whether every unordered pair is connectable, with per-pair detail."""
+    """Whether every unordered pair is connectable, with per-pair detail.
+
+    One search over all (n-2)-site sets at once gives each pair's verdict
+    and witness, as ``is_pair_connectable`` would.
+    """
     arr, n = _as_array(psi)
     if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"connectedness search is exponential; n <= {MAX_SEARCH_QUBITS} only")
+    if n == 2:
+        raise ValueError("need at least one particle outside the pair")
     reports = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        connected, witness = is_pair_connectable(arr, i, j)
-        reports.append(PairReport((i, j), connected, witness))
+    if n > 2:
+        rows = _first_bell_rows(arr, n, _level_index(n, n - 2))
+        # Complements of the (n-2)-site sets, in combinations order, run
+        # through the pairs in reverse combinations order.
+        others = list(itertools.combinations(range(1, n + 1), n - 2))
+        for pair, sites, row in zip(itertools.combinations(range(1, n + 1), 2),
+                                    reversed(others), reversed(rows)):
+            witness = None if row is None else _witness(sites, row)
+            reports.append(PairReport(pair, row is not None, witness))
     return all(r.connected for r in reports), reports

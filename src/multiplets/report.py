@@ -298,18 +298,19 @@ def run_measures(state: StateVector, name: str | None = None,
     a Z measurement on each site.
     """
     searchable = state.n <= MAX_SEARCH_QUBITS
+    arr = state.to_array()
     report: dict = {
         "name": name,
         "n": state.n,
-        "q": meyer_wallach_q(state),
-        "persistency": persistency(state) if searchable else None,
+        "q": meyer_wallach_q(arr),
+        "persistency": persistency(arr) if searchable else None,
     }
     if not searchable:
         report["maximally_connected"] = None
         report["pairs"] = None
         report["skipped"] = ["persistency", "connectedness"]
     elif state.n >= 3:
-        connected, pairs = maximal_connectedness(state)
+        connected, pairs = maximal_connectedness(arr)
         report["maximally_connected"] = connected
         report["pairs"] = [
             {
@@ -324,7 +325,7 @@ def run_measures(state: StateVector, name: str | None = None,
         branch_rows = []
         for site in range(1, state.n + 1):
             branches = []
-            for branch in measure_branches(state, site, MeasurementBasis.Z):
+            for branch in measure_branches(arr, site, MeasurementBasis.Z):
                 entry = {
                     "outcome": branch.outcome,
                     "probability": branch.probability,

@@ -35,11 +35,13 @@ def parse_state_file(data: bytes | str) -> StateVector:
     if not isinstance(doc, dict):
         raise StateFileError("state file must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         flavor = doc["flavor"]
         entries = doc["amplitudes"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise StateFileError(f"missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise StateFileError(f"missing field: {exc}") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise StateFileError(f"n must be a JSON integer, got {n!r}")
     if flavor not in ("exact", "numeric"):
         raise StateFileError(f"flavor must be 'exact' or 'numeric', got {flavor!r}")
     if not isinstance(entries, list) or not entries:

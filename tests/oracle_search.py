@@ -3,11 +3,12 @@
 This is the branch-at-a-time loop that ``multiplets.measures`` used before
 its searches were batched. It projects the measured sites onto one
 outcome vector at a time (``_contract``), renormalizes each branch
-(``_branches``) and checks the branches one by one. It shares only the
-basis vectors and the tolerances with the package, so
-``tests/test_search_oracle.py`` can check the batched searches against it.
-It lives here, not in ``src/``, because the package has one branch
-enumerator (``measures._all_branches``).
+(``branches``) and checks the branches one by one, by the reduced
+purities of the normalized post-state. It shares only the basis vectors
+and the tolerances with the package, so ``tests/test_search_oracle.py``
+can check the batched searches against it. It lives here, not in
+``src/``, because the package has one branch enumerator
+(``measures._branch_blocks``, all site sets of one level at once).
 """
 
 from __future__ import annotations

@@ -2,14 +2,21 @@
 traceback, and never a silent NaN with exit 0."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multiplets
 from multiplets.cli import main
 from multiplets.coupling import (
+    MAX_DENSE_QUBITS,
     MAX_TREE_LEAVES,
     CouplingTree,
     Spin,
@@ -66,6 +73,21 @@ class TestStateFileHardening:
     def test_deeply_nested_json(self):
         with pytest.raises(StateFileError):
             parse_state_file("[" * 100_000 + "]" * 100_000)
+
+    # Each document would be valid with n = int(value); only a JSON
+    # integer that is not a bool may give the particle count.
+    @pytest.mark.parametrize("value, configs", [
+        pytest.param(2.9, ["ud", "du"], id="float"),
+        pytest.param(True, ["u", "d"], id="bool"),
+        pytest.param("2", ["ud", "du"], id="string"),
+    ])
+    def test_particle_count_must_be_an_integer(self, tmp_path, capsys, value, configs):
+        doc = {"n": value, "flavor": "numeric", "amplitudes": [
+            {"config": config, "amp": {"re": 2 ** -0.5, "im": 0.0}} for config in configs
+        ]}
+        assert "n must be a JSON integer" in _measure_file(tmp_path, capsys, doc)
+        with pytest.raises(StateFileError, match="n must be a JSON integer"):
+            parse_state_file(json.dumps(doc))
 
 
 _scalars = st.one_of(
@@ -136,6 +158,13 @@ def _sequential_spec(n: int) -> str:
     return spec
 
 
+def _balanced_spec(leaves: list[int]) -> str:
+    if len(leaves) == 1:
+        return str(leaves[0])
+    half = (len(leaves) + 1) // 2
+    return f"({_balanced_spec(leaves[:half])} {_balanced_spec(leaves[half:])})"
+
+
 class TestTreeSizeCap:
     def test_oversized_table_is_one_error_line(self, capsys):
         err = _run_cli_error(capsys, ["table", _sequential_spec(1200)])
@@ -165,6 +194,53 @@ class TestTreeSizeCap:
 
     def test_single_particle_label(self, capsys):
         _run_cli_error(capsys, ["expand", "1", "--label", "1/2"])
+
+
+def _run_capped_cli(argv) -> tuple[int, str, str]:
+    """Run the CLI in a child process whose address space is capped at
+    2 GiB, far below any dense array past MAX_DENSE_QUBITS particles."""
+    src = os.path.dirname(os.path.dirname(multiplets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "multiplets.cli", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=cap, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestDenseCap:
+    def test_to_array_refuses_before_allocating(self):
+        state = StateVector.numeric_state(MAX_DENSE_QUBITS + 1, {0: 1.0})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {MAX_DENSE_QUBITS} particles"):
+                state.to_array()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_measure_of_forty_particles_is_one_error_line(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 40, "flavor": "numeric", "amplitudes": [
+            {"config": "u" * 40, "amp": {"re": 1.0, "im": 0.0}}]}))
+        code, out, err = _run_capped_cli(["measure", "--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2**40" in err
+
+    def test_recouple_of_thirty_particles_is_one_error_line(self):
+        # The stretched S = m = 15 state of a sequential tree, into a
+        # balanced tree: one amplitude, but 2**30 of them as a dense array.
+        label = ",".join(str(Fraction(t + 1, 2)) for t in range(1, 30)) + ",15"
+        balanced = _balanced_spec(list(range(1, 31)))
+        code, out, err = _run_capped_cli(
+            ["recouple", _sequential_spec(30), balanced, "--label", label])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2**30" in err
 
 
 class TestLabelText:

@@ -2,7 +2,9 @@
 the scalar branch-at-a-time oracle in ``tests/oracle_search.py``.
 
 Both must give the same persistency for every ``k_max``, the same verdict
-and witness for every pair, and the same single-site measurement branches.
+and witness for every pair, and the same single-site measurement branches;
+``maximal_connectedness``, which searches all pairs at once, must agree
+with ``is_pair_connectable`` pair by pair.
 """
 
 import itertools
@@ -12,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiplets.measures import (
+    PROB_CUTOFF,
     MeasurementBasis,
     is_pair_connectable,
+    maximal_connectedness,
     measure_branches,
     persistency,
 )
@@ -62,6 +66,15 @@ def _product(rng, n):
     return arr
 
 
+_TAIL = [0b01010, 0b01110, 0b10110, 0b11010, 0b11100]
+
+
+def _with_tail(arr, weight):
+    out = arr * np.sqrt(1.0 - weight)
+    out[_TAIL] = np.sqrt(weight / len(_TAIL))
+    return out
+
+
 def _cases():
     cases = [(f"named-{name}", named_state(name).to_array()) for name in available_states()]
     # Z on sites 1, 2 leaves |000>, |011> or |101>, and outcome 11 has
@@ -69,6 +82,13 @@ def _cases():
     zero_branch = np.zeros(32, dtype=complex)
     zero_branch[[0b00000, 0b01011, 0b10101]] = 3 ** -0.5
     cases.append(("zero-branch5", zero_branch))
+    # The same state with a tail of weight 10 * PROB_CUTOFF, which every
+    # persistency-2 assignment leaves as a live non-product branch, and at
+    # 0.1 * PROB_CUTOFF, where those branches are dropped. The package
+    # tests unnormalized branches against p**2-scaled bounds, so these
+    # check that scaling where p is smallest.
+    for label, weight in (("live", 10 * PROB_CUTOFF), ("dropped", 0.1 * PROB_CUTOFF)):
+        cases.append((f"tail5-{label}", _with_tail(zero_branch, weight)))
     rng = np.random.default_rng(2024)
     for n in range(3, 7):
         frames = [(0,) * n] + [tuple(rng.integers(0, 3, n)) for _ in range(2 if n < 6 else 1)]
@@ -87,8 +107,14 @@ def _assert_matches_oracle(arr):
     n = arr.size.bit_length() - 1
     for k_max in [None] + list(range(n + 1)):
         assert persistency(arr, k_max=k_max) == oracle_search.persistency(arr, n, k_max), k_max
-    for i, j in itertools.combinations(range(1, n + 1), 2) if n >= 3 else ():
-        assert is_pair_connectable(arr, i, j) == oracle_search.is_pair_connectable(arr, n, i, j)
+    if n >= 3:
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        each = [is_pair_connectable(arr, i, j) for i, j in pairs]
+        for (i, j), got in zip(pairs, each):
+            assert got == oracle_search.is_pair_connectable(arr, n, i, j)
+        connected, reports = maximal_connectedness(arr)
+        assert [(r.pair, (r.connected, r.witness)) for r in reports] == list(zip(pairs, each))
+        assert connected == all(verdict for verdict, _ in each)
     for site in range(1, n + 1):
         for basis in MeasurementBasis:
             got = measure_branches(arr, site, basis)
@@ -104,11 +130,19 @@ def test_batched_searches_match_oracle(arr):
     _assert_matches_oracle(arr)
 
 
+def test_a_live_tail_above_the_cutoff_raises_persistency():
+    cases = dict(_cases())
+    assert persistency(cases["zero-branch5"]) == 2
+    assert persistency(cases["tail5-dropped"]) == 2
+    assert persistency(cases["tail5-live"]) == 3
+
+
 # Gaussian-integer amplitudes, half of them zero: zero-probability branches,
 # product factors and ties are common, and no branch probability lands
-# near PROB_CUTOFF.
+# near PROB_CUTOFF. Only n = 6 reaches the fourth search level (k = 4),
+# whose blocks are the largest.
 _amplitudes = st.one_of(st.just((0, 0)), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
-_states = st.integers(3, 5).flatmap(
+_states = st.integers(3, 6).flatmap(
     lambda n: st.lists(_amplitudes, min_size=1 << n, max_size=1 << n)
 ).filter(lambda amps: any(re or im for re, im in amps))
 
