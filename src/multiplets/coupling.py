@@ -14,15 +14,12 @@ label in ``expand``, every label of the tree in ``full_basis``, the
 target's (S, m) sector in ``recouple``. The price is memory, since
 ``full_basis`` holds every non-root subtree expansion until it returns.
 
-Expansions map configuration bitmasks to ids into a table of distinct
-values, which lives for the process: ``_VALUES`` holds each distinct CG
-coefficient or product once (id 0 is one), and ``_PRODUCTS[a][b]`` is the
-id of a product, computed with ``SignedRadical.__mul__`` only the first
-time the pair is seen. Amplitudes take few distinct values: after a
-sequential n = 12 table the table holds 3,759 values and 29,153 products.
-Expanded states share the table's instances and check their norm once
-per distinct value; values from outside (``StateVector.exact_state``)
-never enter the table and are still checked one by one.
+Each coupled state, of a subtree or of the tree, is the only common
+eigenvector of integer Casimirs, so it is sqrt(r) times a vector of
+coprime integers: the one form that expansions make, (r, {bitmask: k}).
+An expanded ``StateVector`` keeps it; ``to_array``, the table rows and
+``verify`` read it, and its ``amplitudes`` are built on first use. The
+CG cache is the only cache that outlives a call.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -249,11 +245,11 @@ def _walk_leaves(node: TreeNode) -> Iterator[Leaf]:
         yield from _walk_leaves(node.right)
 
 
-def _walk_internal(node: TreeNode) -> Iterator[Node]:
+def _walk_nodes(node: TreeNode) -> Iterator[Node]:
     """Internal nodes in postorder; the root comes last."""
     if isinstance(node, Node):
-        yield from _walk_internal(node.left)
-        yield from _walk_internal(node.right)
+        yield from _walk_nodes(node.left)
+        yield from _walk_nodes(node.right)
         yield node
 
 
@@ -282,7 +278,7 @@ class CouplingTree:
         return tuple(_walk_leaves(self.root))
 
     def internal_nodes(self) -> tuple[Node, ...]:
-        return tuple(_walk_internal(self.root))
+        return tuple(_walk_nodes(self.root))
 
     def node_particles(self, node: TreeNode) -> tuple[int, ...]:
         return tuple(leaf.index for leaf in _walk_leaves(node))
@@ -505,17 +501,9 @@ def config_from_string(s: str) -> int:
 _NORM_TOL = 1e-12
 
 
-class _PerCall(dict):
-    """``fn`` of each distinct key, computed on first lookup; one instance
-    serves one call, so nothing outlives it."""
-
-    def __init__(self, fn) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+def _radical(r: Fraction, k: int) -> SignedRadical:
+    """sqrt(r) * k for a nonzero integer k."""
+    return SignedRadical(1 if k > 0 else -1, r * (k * k))
 
 
 # Most particles a state may have as a dense array: 2**24 complex values
@@ -536,6 +524,9 @@ class StateVector:
     n: int
     amplitudes: Mapping[int, object]
     exact: bool
+    # (r, {mask: k}) for a state of the expansion engine, whose amplitude
+    # at mask is sqrt(r) * k with coprime integers k; None for any other.
+    _integer = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -579,23 +570,32 @@ class StateVector:
         return cls(n, dict(amplitudes), exact=True)
 
     @classmethod
-    def _from_value_ids(cls, n: int, ids: Mapping[int, int]) -> "StateVector":
-        """Exact state with amplitude ``_VALUES[v]`` at each mask: the trusted
-        path of the expansion engine. It checks the constructor's norm
-        identity once per distinct value, sum(count(v) * radicand(v)) = 1,
-        and that the masks are in range; the amplitudes are the table's
-        shared instances, which are never zero."""
-        counts = Counter(ids.values())
-        norm2 = sum(count * _VALUES[vid].radicand for vid, count in counts.items())
+    def _from_integers(cls, n: int, r: Fraction, ints: Mapping[int, int]) -> "StateVector":
+        """Exact state with amplitude sqrt(r) * ints[mask] at each mask: the
+        trusted path of the expansion engine, whose integers are nonzero.
+        It checks the constructor's norm identity as r * sum(k^2) = 1, and
+        that the masks are in range; ``amplitudes`` is built on first use."""
+        norm2 = r * sum(k * k for k in ints.values())
         if norm2 != 1:
             raise ValueError(f"exact state has norm^2 = {norm2}, expected 1")
-        if min(ids) < 0 or max(ids) >= 1 << n:
+        if min(ints) < 0 or max(ints) >= 1 << n:
             raise ValueError(f"configuration out of range for {n} particles")
         state = object.__new__(cls)
         object.__setattr__(state, "n", n)
-        object.__setattr__(state, "amplitudes", {mask: _VALUES[vid] for mask, vid in ids.items()})
         object.__setattr__(state, "exact", True)
+        object.__setattr__(state, "_integer", (r, ints))
         return state
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance: the
+        # amplitudes of an engine-built state, until they are first read.
+        if name != "amplitudes" or self._integer is None:
+            raise AttributeError(name)
+        r, ints = self._integer
+        amplitudes = dict(zip(ints, map(functools.cache(functools.partial(_radical, r)),
+                                        ints.values())))
+        object.__setattr__(self, "amplitudes", amplitudes)
+        return amplitudes
 
     @classmethod
     def numeric_state(cls, n: int, amplitudes: Mapping[int, complex]) -> "StateVector":
@@ -631,20 +631,26 @@ class StateVector:
 
     def to_array(self) -> np.ndarray:
         """Dense complex array in up-first basis order. An exact state
-        converts each distinct value once. Raises ValueError above
+        converts each distinct value (each distinct k of an engine state)
+        once, through ``SignedRadical.to_float``. Raises ValueError above
         MAX_DENSE_QUBITS particles."""
         if self.n > MAX_DENSE_QUBITS:
             raise ValueError(
                 f"a dense array of {self.n} particles needs 2**{self.n} amplitudes; "
                 f"at most {MAX_DENSE_QUBITS} particles are supported"
             )
-        count = len(self.amplitudes)
-        values = self.amplitudes.values()
-        if self.exact:
-            values = map(_PerCall(SignedRadical.to_float).__getitem__, values)
+        # Each cache lives for this call only.
+        if self._integer is not None:
+            r, amps = self._integer
+            value = functools.cache(lambda k: _radical(r, k).to_float())
+        else:
+            amps = self.amplitudes
+            value = functools.cache(SignedRadical.to_float) if self.exact else complex
+        count = len(amps)
         arr = np.zeros(1 << self.n, dtype=complex)
-        configs = np.fromiter(self.amplitudes, dtype=np.int64, count=count)
-        arr[dense_index(configs, self.n)] = np.fromiter(values, dtype=complex, count=count)
+        configs = np.fromiter(amps, dtype=np.int64, count=count)
+        arr[dense_index(configs, self.n)] = np.fromiter(map(value, amps.values()), dtype=complex,
+                                                        count=count)
         return arr
 
     def norm_squared(self) -> Fraction | float:
@@ -685,57 +691,35 @@ def enumerate_multiplets(tree: CouplingTree) -> list[CoupledLabel]:
     return labels
 
 
-# Every distinct value the engine has made, for the process: id 0 is one,
-# and _PRODUCTS[a][b] is the id of _VALUES[a] * _VALUES[b], made with
-# SignedRadical.__mul__ the first time the pair is seen. Only CG
-# coefficients and their products enter, never values from outside.
-_VALUES: list[SignedRadical] = [SignedRadical.one()]
-_VALUE_IDS: dict[SignedRadical, int] = {_VALUES[0]: 0}
-_PRODUCTS: list[dict[int, int]] = [{}]
-
-
-def _intern(value: SignedRadical) -> int:
-    vid = _VALUE_IDS.get(value)
-    if vid is None:
-        if not value:
-            raise ValueError("the value table holds no zero")
-        vid = _VALUE_IDS[value] = len(_VALUES)
-        _VALUES.append(value)
-        _PRODUCTS.append({})
-    return vid
-
-
-def _product(a: int, b: int) -> int:
-    vid = _PRODUCTS[a].get(b)
-    if vid is None:
-        vid = _PRODUCTS[a][b] = _PRODUCTS[b][a] = _intern(_VALUES[a] * _VALUES[b])
-    return vid
-
-
 def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
-                 memo: dict[tuple, dict]) -> dict[int, int]:
-    """Expansion of the node at ``pos``: configuration bitmask -> value id.
+                 memo: dict[tuple, tuple]) -> tuple[int, int, dict[int, int]]:
+    """Expansion of the node at ``pos`` as (p, q, {configuration bitmask:
+    k}): amplitude sqrt(p/q) * k, p/q in lowest terms, the k coprime ints.
 
     ``spins`` holds the doubled spins by position. Leaf projections fix
-    every intermediate projection, so each mask is reached once and each
-    amplitude is a single CG product; sibling subtrees hold disjoint
-    particles, so a parent ORs their masks. ``memo`` maps (pos, the
-    subtree's slice of ``spins``, two_m) to the subtree's expansion, so a
-    subtree reached again, by another path or another label of the same
-    tree, is not expanded twice. The root's key is unique per label: never
-    stored.
+    every intermediate projection, so each mask is reached once; sibling
+    subtrees hold disjoint particles, so a parent ORs their masks. A
+    branch, one nonzero CG c times its two subtrees, has radicand
+    c^2 r_left r_right, which must be the first branch's times a rational
+    square (a/b)^2, else ValueError. The branches, scaled by a/b, are
+    brought to the lcm of the b and divided by the gcd of their factors:
+    the gcd of the result, as each subtree's ints are coprime. ``memo``
+    maps (pos, the subtree's slice of ``spins``, two_m) to the subtree's
+    expansion, so a subtree reached again, by another path or another
+    label of the same tree, is not expanded twice. The root's key is
+    unique per label: never stored.
     """
     leaves, nodes = postorder
     n = len(leaves)
     if pos < n:
-        return {1 << (n - leaves[pos].index) if two_m > 0 else 0: 0}
+        return 1, 1, {1 << (n - leaves[pos].index) if two_m > 0 else 0: 1}
     left, right, first = nodes[pos - n]
     key = (pos, spins[first:pos + 1], two_m)
     out = memo.get(key)
     if out is not None:
         return out
     j_left, j_right = spins[left], spins[right]
-    out = {}
+    branches = []
     for two_ml in range(-j_left, j_left + 1, 2):
         two_mr = two_m - two_ml
         if abs(two_mr) > j_right:
@@ -743,26 +727,37 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
         coeff = _cg_doubled(j_left, two_ml, j_right, two_mr, spins[pos], two_m)
         if not coeff:
             continue
-        coeff_id = _intern(coeff)
-        # Scaling the smaller side by the CG first takes one product per
-        # pair; a leaf side makes it one product per amplitude.
-        small, large = sorted((_expand_node(left, postorder, spins, two_ml, memo),
-                               _expand_node(right, postorder, spins, two_mr, memo)),
-                              key=len)
-        for mask_s, id_s in small.items():
-            scaled = _product(coeff_id, id_s)
-            row = _PRODUCTS[scaled]
-            try:
-                out.update({mask_s | mask_l: row[id_l] for mask_l, id_l in large.items()})
-            except KeyError:  # a pair not seen before
-                out.update({mask_s | mask_l: _product(scaled, id_l)
-                            for mask_l, id_l in large.items()})
+        p_left, q_left, ints_left = _expand_node(left, postorder, spins, two_ml, memo)
+        p_right, q_right, ints_right = _expand_node(right, postorder, spins, two_mr, memo)
+        p = coeff.radicand.numerator * p_left * p_right
+        q = coeff.radicand.denominator * q_left * q_right
+        if not branches:
+            p_first, q_first = p, q
+        b = q * p_first  # (a/b)^2 = (p/q) / (p_first/q_first)
+        a = math.isqrt(p * q_first * b)
+        if a * a != p * q_first * b:
+            raise ValueError(f"branch radicands {p}/{q} and {p_first}/{q_first} "
+                             "differ by an irrational factor")
+        branches.append((coeff.sign * a, b, *sorted((ints_left, ints_right), key=len)))
+    lcm = math.lcm(*(b for _, b, _, _ in branches))
+    factors = [a * (lcm // b) for a, b, _, _ in branches]
+    gcd = math.gcd(*factors)
+    # Scaling the smaller side first takes one product per pair; a leaf
+    # side makes it one product per amplitude.
+    pairs = [(mask_s, factor // gcd * k_s, large)
+             for factor, (_, _, small, large) in zip(factors, branches)
+             for mask_s, k_s in small.items()]
+    ints = {mask_s | mask_l: scaled * k_l
+            for mask_s, scaled, large in pairs for mask_l, k_l in large.items()}
+    p, q = p_first * gcd * gcd, q_first * lcm * lcm
+    common = math.gcd(p, q)
+    out = p // common, q // common, ints
     if pos < len(spins) - 1:
         memo[key] = out
     return out
 
 
-def _expansion(label: CoupledLabel, memo: dict[tuple, dict]) -> StateVector:
+def _expansion(label: CoupledLabel, memo: dict[tuple, tuple]) -> StateVector:
     """``expand`` with a subtree memo that the caller may share between
     labels of one tree. Raises ValueError unless every leaf is a spin 1/2,
     as the qubit basis that the expansion targets needs."""
@@ -771,8 +766,8 @@ def _expansion(label: CoupledLabel, memo: dict[tuple, dict]) -> StateVector:
         raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
     n = len(postorder[0])
     spins = (1,) * n + tuple(spin.two_j for spin in label.intermediates)
-    ids = _expand_node(len(spins) - 1, postorder, spins, label.total_m.two_m, memo)
-    return StateVector._from_value_ids(n, ids)
+    p, q, ints = _expand_node(len(spins) - 1, postorder, spins, label.total_m.two_m, memo)
+    return StateVector._from_integers(n, Fraction(p, q), ints)
 
 
 def expand(label: CoupledLabel) -> StateVector:
@@ -790,7 +785,7 @@ def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
     One subtree memo serves all of the tree's labels and lives for this
     call; it holds every non-root subtree expansion at once.
     """
-    memo: dict[tuple, dict] = {}
+    memo: dict[tuple, tuple] = {}
     return [(label, _expansion(label, memo))
             for label in enumerate_multiplets(tree)]
 
@@ -807,7 +802,7 @@ def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, fl
     if set(label.tree.particles()) != set(target.particles()):
         raise ValueError("trees must couple the same particles")
     source = expand(label).to_array()
-    memo: dict[tuple, dict] = {}
+    memo: dict[tuple, tuple] = {}
     out: dict[CoupledLabel, float] = {}
     for total, intermediates in _assignments(target.root):
         if total != label.total_spin:

@@ -309,7 +309,7 @@ def _branch_blocks(arr: np.ndarray, n: int, index: np.ndarray) -> Iterator[np.nd
         yield (gathered @ projector).reshape(shape)
 
 
-def _product_rows(branches: np.ndarray) -> np.ndarray:
+def _separable_rows(branches: np.ndarray) -> np.ndarray:
     """Which (site set, assignment) rows of a branch block leave every
     outcome either below PROB_CUTOFF or fully product: every single-site
     reduced purity at least 1 - PURITY_TOL.
@@ -411,13 +411,13 @@ def persistency(psi: StateVector | np.ndarray, *, k_max: int | None = None) -> i
         raise ValueError(f"persistency search is exponential; n <= {MAX_SEARCH_QUBITS} only")
     if k_max is None:
         k_max = n
-    if _product_rows(arr.reshape(-1, 1, 1, 1)).all():
+    if _separable_rows(arr.reshape(-1, 1, 1, 1)).all():
         return 0
     for k in range(1, min(k_max, n) + 1):
         if n - k <= 1:
             return k  # a post-state on at most one particle is product
         blocks = _branch_blocks(arr, n, _level_index(n, k))
-        if any(_product_rows(block).any() for block in blocks):
+        if any(_separable_rows(block).any() for block in blocks):
             return k
     return None
 

@@ -9,12 +9,13 @@ Two spins 1/2 obey s_i . s_j = P_ij / 2 - 1/4, with P_ij their exchange
 set A is 3|A|/4 - |A|(|A| - 1)/4 + (the sum over i < j in A of P_ij), and
 S_z is the diagonal popcount(config) - n/2.
 
-``verify_basis`` checks a whole basis exactly. Each state is a sum, over
-squarefree kernels k, of sqrt(k) times a rational vector; scaled to
-coprime integers, each such vector is one integer column of its popcount
-sector. Four times a Casimir minus its eigenvalue maps integer columns to
-integer columns, so every (Casimir, sector) is one integer product shared
-by all the sector's states, and a correct state gives exactly zero.
+``verify_basis`` checks a whole basis exactly, on integer columns: sqrt(r)
+times coprime integers in one popcount sector. An engine-built state is
+one column, its integer form; any other state is split by popcount and
+squarefree kernel. Four times a Casimir minus its eigenvalue maps integer
+columns to integer columns, so every (Casimir, sector) is one integer
+product shared by all the sector's states, and a correct state gives
+exactly zero.
 
 ``ExchangeOperator.apply`` is the float form of the same operators, on
 dense vectors: P_ij swaps bits n - i and n - j of a dense index (the
@@ -35,8 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import CoupledLabel, CouplingTree, StateVector, _PerCall
-from .exactnum import SignedRadical
+from .coupling import CoupledLabel, CouplingTree, StateVector
 
 __all__ = ["ExchangeOperator", "verify_eigenstate", "LabeledOperator", "commuting_set",
            "verify_basis"]
@@ -118,100 +118,27 @@ def commuting_set(tree: CouplingTree) -> list[LabeledOperator]:
 # The exact, sector-batched check
 
 
-@dataclass
-class _Columns:
-    """A basis split into integer columns, one per (state, popcount,
-    squarefree kernel) group of its entries; columns are ordered by state.
-    Column c belongs to basis state state[c] and has popcount weight[c].
-    Its entry e is amplitude sqrt(kernel[c]) * gcd[c] / lcm[c] * value[e]
-    at configuration mask[e], and its values are coprime integers. Entries
-    are stored by column: column c is entries bounds[c]:bounds[c + 1]."""
-
-    mask: np.ndarray
-    value: np.ndarray
-    column: np.ndarray
-    bounds: np.ndarray
-    state: np.ndarray
-    weight: np.ndarray
-    kernel: list[int]
-    gcd: np.ndarray
-    lcm: np.ndarray
-
-    def scale(self, c: int) -> Fraction:
-        return Fraction(int(self.gcd[c]), int(self.lcm[c]))
-
-
-def _integer_columns(n: int, basis: Sequence[tuple[CoupledLabel, StateVector]],
-                     popcount: np.ndarray) -> _Columns:
-    states = [state.amplitudes for _, state in basis]
-    if any(state.n != n or not state.exact for _, state in basis):
-        raise ValueError(f"verification needs exact states of {n} particles")
-    lengths = [len(amps) for amps in states]
-    total = sum(lengths)
-    mask = np.fromiter(itertools.chain.from_iterable(states), np.int64, total)
-    amps = list(itertools.chain.from_iterable(amps.values() for amps in states))
-    # Expanded states share their value instances: one canonical form is
-    # looked up per distinct instance, and computed once per value.
-    _, first, distinct = np.unique(np.fromiter(map(id, amps), np.uint64, total),
-                                   return_index=True, return_inverse=True)
-    canonical = _PerCall(SignedRadical.canonical)
-    kernel_index = _PerCall(lambda kernel: len(kernel_index))
-    numerators, denominators, kernel_ids = [], [], []
-    for i in first.tolist():
-        coefficient, kernel = canonical[amps[i]]
-        numerators.append(coefficient.numerator)
-        denominators.append(coefficient.denominator)
-        kernel_ids.append(kernel_index[kernel])
-    del amps
-    if max(denominators) >= _INT_LIMIT:
-        raise ValueError("an amplitude needs integers of 2^40 or more")
-    distinct = distinct.reshape(-1)
-    kernels = len(kernel_index)
-    state = np.repeat(np.arange(len(states)), lengths)
-    keys, column, counts = np.unique(
-        (state * (n + 1) + popcount[mask]) * kernels + np.array(kernel_ids)[distinct],
-        return_inverse=True, return_counts=True)
-    column = column.reshape(-1)
-    # Each column's lcm, over its distinct denominators.
-    den_values, den_ids = np.unique(denominators, return_inverse=True)
-    pairs = np.unique(column * len(den_values) + den_ids.reshape(-1)[distinct])
-    lcm = [1] * len(keys)
-    for c, d in zip(*(part.tolist() for part in np.divmod(pairs, len(den_values)))):
-        lcm[c] = math.lcm(lcm[c], int(den_values[d]))
-    if max(lcm) >= _INT_LIMIT:
-        raise ValueError("a state needs integers of 2^40 or more")
-    lcm = np.array(lcm, dtype=np.int64)
-    dens = np.array(denominators, dtype=np.int64)[distinct]
-    # |numerator / denominator| <= 1 in a normalized state, so these stay
-    # below the lcm.
-    value = np.array(numerators, dtype=np.int64)[distinct] * (lcm[column] // dens)
-    order = np.argsort(column, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    gcd = np.gcd.reduceat(value[order], bounds[:-1])
-    owner, kernel_id = np.divmod(keys, kernels)
-    index = list(kernel_index)
-    return _Columns(mask[order], value[order] // gcd[column[order]], column[order], bounds,
-                    owner // (n + 1), owner % (n + 1),
-                    [index[k] for k in kernel_id.tolist()], gcd, lcm)
-
-
-def _norm2(columns: _Columns, cols: list[int],
-           vectors: list[np.ndarray]) -> tuple[Fraction, float]:
-    """||sum over cols of sqrt(kernel) * scale * vector||^2 for integer
-    vectors, as an exact part plus a float part.
-
-    Columns of distinct kernels add cross terms with sqrt(k k'), which go
-    to the float part; a single column gives an exact square."""
-    lists = [vector.tolist() for vector in vectors]
-    exact = sum((columns.kernel[c] * columns.scale(c) ** 2 * sum(x * x for x in v)
-                 for c, v in zip(cols, lists)), Fraction(0))
-    cross = 0.0
-    for (a, va), (b, vb) in itertools.combinations(zip(cols, lists), 2):
-        dot = sum(x * y for x, y in zip(va, vb))
-        if dot:
-            cross += (2 * float(columns.scale(a) * columns.scale(b) * dot)
-                      * math.sqrt(columns.kernel[a] * columns.kernel[b]))
-    return exact, cross
+def _columns(state: StateVector) -> list[tuple[int, Fraction, dict[int, int]]]:
+    """``state`` as integer columns (popcount, r, {mask: k}) of amplitudes
+    sqrt(r) * k. An engine-built state is one column, its own integer form;
+    any other is split by (popcount, squarefree kernel), and raises
+    ValueError if a column needs a common denominator of 2^40 or more.
+    """
+    if state._integer is not None:
+        r, ints = state._integer
+        return [(next(iter(ints)).bit_count(), r, ints)]
+    groups: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for mask, amp in state.amplitudes.items():
+        coefficient, kernel = amp.canonical()
+        groups.setdefault((mask.bit_count(), kernel), {})[mask] = coefficient
+    columns = []
+    for (weight, kernel), coefficients in groups.items():
+        lcm = math.lcm(*(c.denominator for c in coefficients.values()))
+        if lcm >= _INT_LIMIT:
+            raise ValueError("a state needs integers of 2^40 or more")
+        columns.append((weight, Fraction(kernel, lcm * lcm),
+                        {mask: int(c * lcm) for mask, c in coefficients.items()}))
+    return columns
 
 
 def verify_basis(tree: CouplingTree,
@@ -229,9 +156,12 @@ def verify_basis(tree: CouplingTree,
     integer columns and X the sum of P_ij M over i < j in A, built up the
     tree: X_node = X_left + X_right + (P_ij M over i in left, j in right),
     C(n, 2) row gathers per sector in all. Raises ValueError if an integer
-    of a column reaches 2^40.
+    of a column, or the common denominator that an outside state's column
+    needs, reaches 2^40.
     """
     n = tree.n
+    if any(state.n != n or not state.exact for _, state in basis):
+        raise ValueError(f"verification needs exact states of {n} particles")
     nodes = tree.internal_nodes()
     particles = {id(node): tree.node_particles(node) for node in nodes + tree.leaves()}
     config = np.arange(1 << n)
@@ -239,32 +169,42 @@ def verify_basis(tree: CouplingTree,
     rank = np.empty(1 << n, dtype=np.intp)
     for w in range(n + 1):
         rank[popcount == w] = np.arange(math.comb(n, w))
-    columns = _integer_columns(n, basis, popcount)
+    # (state, popcount, r, {mask: k}) per column, ordered by state.
+    columns = [(s, *column) for s, (_, state) in enumerate(basis) for column in _columns(state)]
     two_j = np.array([[spin.two_j for spin in label.intermediates] for label, _ in basis])
-    label_weight = np.array([(n + label.total_m.two_m) // 2 for label, _ in basis])
+    label_weight = [(n + label.total_m.two_m) // 2 for label, _ in basis]
     norm2: dict[tuple[int, int], list] = {}
 
     def add(key: tuple[int, int], factor: Fraction, cols: list[int], vectors) -> None:
-        exact, cross = _norm2(columns, cols, vectors)
+        # factor * ||sum over cols of sqrt(r) * vector||^2: an exact part, plus
+        # the float cross terms sqrt(r r') of columns of distinct kernels.
+        radicands = [columns[c][2] for c in cols]
         total = norm2.setdefault(key, [Fraction(0), 0.0])
-        total[0] += factor * exact
-        total[1] += float(factor) * cross
+        for r, vector in zip(radicands, vectors):
+            total[0] += factor * r * sum(x * x for x in vector)
+        for (ra, va), (rb, vb) in itertools.combinations(zip(radicands, vectors), 2):
+            total[1] += 2 * float(factor) * sum(x * y for x, y in zip(va, vb)) * math.sqrt(ra * rb)
 
-    bounds = columns.bounds
-    for c in np.flatnonzero(columns.weight != label_weight[columns.state]).tolist():
-        s = int(columns.state[c])  # entries off the label's S_z sector
-        add((s, len(nodes)), Fraction(int(columns.weight[c] - label_weight[s]) ** 2),
-            [c], [columns.value[bounds[c]:bounds[c + 1]]])
-    entry_weight = popcount[columns.mask]
-    for w in np.unique(columns.weight).tolist():
-        in_sector = np.flatnonzero(columns.weight == w)
-        local = np.empty(len(columns.weight), dtype=np.intp)
-        local[in_sector] = np.arange(len(in_sector))
-        entries = entry_weight == w
+    for c, (s, weight, _, ints) in enumerate(columns):
+        if weight != label_weight[s]:  # entries off the label's S_z sector
+            add((s, len(nodes)), Fraction((weight - label_weight[s]) ** 2), [c],
+                [list(ints.values())])
+    for w in sorted({weight for _, weight, _, _ in columns}):
+        in_sector = [c for c, column in enumerate(columns) if column[1] == w]
+        sector = [columns[c][3] for c in in_sector]
+        lengths = [len(ints) for ints in sector]
+        masks = np.fromiter(itertools.chain.from_iterable(sector), np.int64, sum(lengths))
+        values = np.fromiter(itertools.chain.from_iterable(ints.values() for ints in sector),
+                             np.int64, sum(lengths))
+        if (popcount[masks] != w).any():
+            raise ValueError("a column spans several popcount sectors")
+        if np.abs(values).max() >= _INT_LIMIT:
+            raise ValueError("a state needs integers of 2^40 or more")
         configs = config[popcount == w]
         matrix = np.zeros((len(configs), len(in_sector)), dtype=np.int64)
-        matrix[rank[columns.mask[entries]], local[columns.column[entries]]] = columns.value[entries]
-        state_of = columns.state[in_sector]  # sorted: columns are ordered by state
+        matrix[rank[masks], np.repeat(np.arange(len(in_sector)), lengths)] = values
+        del masks, values
+        state_of = np.array([columns[c][0] for c in in_sector])  # sorted
         exchanges: dict[int, np.ndarray] = {}
         for slot, node in enumerate(nodes):
             below = [exchanges.pop(id(child)) for child in (node.left, node.right)
@@ -280,8 +220,8 @@ def verify_basis(tree: CouplingTree,
             residual = 4 * total + (3 * size - size * (size - 1) - spins * (spins + 2)) * matrix
             for s in np.unique(state_of[residual.any(axis=0)]).tolist():
                 cols = range(*np.searchsorted(state_of, [s, s + 1]).tolist())
-                add((s, slot), Fraction(1, 16), [int(in_sector[c]) for c in cols],
-                    [residual[:, c] for c in cols])
+                add((s, slot), Fraction(1, 16), [in_sector[c] for c in cols],
+                    [residual[:, c].tolist() for c in cols])
     out = np.zeros((len(basis), len(nodes) + 1))
     for (s, member), (exact, cross) in norm2.items():
         out[s, member] = math.sqrt(max(float(exact) + cross, 0.0))

@@ -18,7 +18,7 @@ from .coupling import (
     CoupledLabel,
     CouplingTree,
     StateVector,
-    _PerCall,
+    _radical,
     config_to_string,
     expand,
     full_basis,
@@ -104,27 +104,18 @@ def _label_latex(label: CoupledLabel) -> str:
 # Rows and tables
 
 
-def _row_text(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall,
-              eq: str) -> str:
-    terms = "  ".join(f"{amps[amp]}|{kets[config]}>" for config, amp in state.items())
-    return f"{label}  :  {terms}"
+def _row_text(label: CoupledLabel, terms: list[tuple], eq: str) -> str:
+    return f"{label}  :  " + "  ".join(f"{amp}|{ket}>" for ket, amp in terms)
 
 
-def _row_latex(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall,
-               eq: str) -> str:
-    terms = "".join(f"{amps[amp]}\\,{kets[config]}" for config, amp in state.items())
-    return rf"{_label_latex(label)} {eq} {terms.lstrip('+')}"
+def _row_latex(label: CoupledLabel, terms: list[tuple], eq: str) -> str:
+    text = "".join(f"{amp}\\,{ket}" for ket, amp in terms)
+    return rf"{_label_latex(label)} {eq} {text.lstrip('+')}"
 
 
-def _row_json(label: CoupledLabel, state: StateVector, amps: _PerCall, kets: _PerCall,
-              eq: str) -> dict:
-    return {
-        "label": label.quantum_numbers(),
-        "amplitudes": [
-            {"config": kets[config], "amp": amps[amp]}
-            for config, amp in state.items()
-        ],
-    }
+def _row_json(label: CoupledLabel, terms: list[tuple], eq: str) -> dict:
+    return {"label": label.quantum_numbers(),
+            "amplitudes": [{"config": ket, "amp": amp} for ket, amp in terms]}
 
 
 # The amplitude, configuration and row formatters of each format.
@@ -136,14 +127,22 @@ _TERM_FORMATS = {
 
 
 def _format_rows(pairs, n: int, fmt: str, what: str, eq: str) -> list:
-    """The rows of (label, state) pairs in ``fmt``; ``eq`` is the LaTeX
-    relation, which the other formats ignore. One call formats each
-    distinct amplitude and configuration once."""
+    """The rows of (label, expanded state) pairs in ``fmt``, read from each
+    state's integer form; ``eq`` is the LaTeX relation, which the other
+    formats ignore. One call formats each distinct configuration and each
+    distinct (r, k) once; terms come by descending configuration."""
     if fmt not in _TERM_FORMATS:
         raise ValueError(f"unknown {what} {fmt!r}")
     amp_fn, ket_fn, row_fn = _TERM_FORMATS[fmt]
-    amps, kets = _PerCall(amp_fn), _PerCall(functools.partial(ket_fn, n=n))
-    return [row_fn(label, state, amps, kets, eq) for label, state in pairs]
+    amps = functools.cache(lambda r: functools.cache(lambda k: amp_fn(_radical(r, k))))
+    kets = functools.cache(functools.partial(ket_fn, n=n))
+    rows = []
+    for label, state in pairs:
+        r, ints = state._integer
+        amp = amps(r)
+        terms = [(kets(config), amp(k)) for config, k in sorted(ints.items(), reverse=True)]
+        rows.append(row_fn(label, terms, eq))
+    return rows
 
 
 def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:

@@ -30,7 +30,7 @@ def parse_state_file(data: bytes | str) -> StateVector:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also the integer digit limit
         raise StateFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError("state file must be a JSON object")

@@ -1,8 +1,9 @@
 """Expansion on ``SignedRadical`` objects: the test oracle for the engine.
 
 This is the engine that ``multiplets.coupling`` ran before it worked on
-interned value ids: every amplitude is a fresh ``SignedRadical.__mul__``
-product, keyed by sorted (particle, 2m) tuples that are turned into
+integer forms (r, {mask: k}): every amplitude is a fresh
+``SignedRadical.__mul__`` product, keyed by sorted (particle, 2m) tuples
+that are turned into
 configuration integers at the end, and the state is built through
 ``StateVector.exact_state``, which validates every amplitude and sums the
 exact norm. It lives here, not in ``src/``, because the package has one

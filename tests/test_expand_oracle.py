@@ -1,25 +1,28 @@
-"""Differential tests of the expansion engine on interned value ids.
+"""Differential tests of the expansion engine on integer forms.
 
-``multiplets.coupling`` expands on ids into a process-wide table of exact
-values and builds each state through one trusted constructor. It must give
-exactly the states that the engine on ``SignedRadical`` objects gives,
+``multiplets.coupling`` expands each subtree into (r, {mask: k}), the
+amplitude at mask being sqrt(r) * k with coprime integers k, and builds
+each state through one trusted constructor. It must give exactly the
+states that the engine on ``SignedRadical`` objects gives,
 ``tests/oracle_expand.py``: the same configurations with equal values.
-The interned products must equal ``SignedRadical.__mul__``, and the
-trusted constructor must keep the checks of ``StateVector``.
+The integer form must hold on every state, ``to_array`` must give the
+float of each amplitude bit for bit, and the trusted constructor must
+keep the checks of ``StateVector``.
 """
 
-import functools
-import operator
+import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from multiplets import coupling
 from multiplets.coupling import (
     CouplingTree,
     StateVector,
     all_coupling_trees,
+    dense_index,
     enumerate_multiplets,
     expand,
     full_basis,
@@ -53,6 +56,7 @@ def _assert_basis_matches_oracle(tree):
 
 
 SMALL_TREES = [tree for n in range(2, 6) for tree in all_coupling_trees(range(1, n + 1))]
+EIGHT_QUBIT_TREES = [_sequential(8), _balanced(8)]
 
 
 class TestEngineAgainstOracle:
@@ -73,63 +77,64 @@ class TestEngineAgainstOracle:
             _assert_same(expand(label), oracle_expand.expand(label))
 
 
-@functools.lru_cache(maxsize=None)
-def _nonzero_cgs():
-    values = []
-    for tj1 in range(5):
-        for tj2 in range(5):
-            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                for tm1 in range(-tj1, tj1 + 1, 2):
-                    for tm2 in range(-tj2, tj2 + 1, 2):
-                        if abs(tm1 + tm2) <= tj:
-                            value = coupling._cg_doubled(tj1, tm1, tj2, tm2, tj, tm1 + tm2)
-                            if value:
-                                values.append(value)
-    return values
+class TestIntegerForm:
+    @pytest.mark.parametrize("tree", SMALL_TREES + EIGHT_QUBIT_TREES, ids=str)
+    def test_states_are_a_radical_times_coprime_integers(self, tree):
+        for label, state in full_basis(tree):
+            r, ints = state._integer
+            assert type(r) is Fraction and r > 0
+            assert all(type(k) is int and k != 0 for k in ints.values())
+            assert math.gcd(*ints.values()) == 1
+            assert r * sum(k * k for k in ints.values()) == 1
+            assert all(type(mask) is int and 0 <= mask < 1 << tree.n for mask in ints)
+            weight = (tree.n + label.total_m.two_m) // 2
+            assert {mask.bit_count() for mask in ints} == {weight}
 
+    @pytest.mark.parametrize("tree", SMALL_TREES + EIGHT_QUBIT_TREES, ids=str)
+    def test_to_array_gives_the_floats_of_each_amplitude(self, tree):
+        for _, state in full_basis(tree):
+            dense = state.to_array()
+            want = np.zeros(1 << tree.n, dtype=complex)
+            for config, amp in state.amplitudes.items():
+                want[dense_index(config, tree.n)] = amp.to_float()
+            assert np.array_equal(dense, want)
 
-CG_VALUES = st.integers(min_value=0, max_value=10**6).map(
-    lambda k: _nonzero_cgs()[k % len(_nonzero_cgs())]
-)
+    def test_amplitudes_are_built_on_first_use(self):
+        state = expand(enumerate_multiplets(_sequential(4))[5])
+        assert "amplitudes" not in vars(state)
+        amplitudes = state.amplitudes
+        assert vars(state)["amplitudes"] is amplitudes is state.amplitudes
+        r, ints = state._integer
+        assert amplitudes == {mask: SignedRadical(1 if k > 0 else -1, r * k * k)
+                              for mask, k in ints.items()}
 
+    def test_an_irrational_branch_ratio_is_refused(self, monkeypatch):
+        cg = coupling._cg_doubled
 
-class TestValueTable:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(CG_VALUES, min_size=1, max_size=6))
-    def test_interned_products_equal_signed_radical_products(self, factors):
-        ids = [coupling._intern(value) for value in factors]
-        assert [coupling._VALUES[vid] for vid in ids] == factors
-        product = functools.reduce(coupling._product, ids)
-        assert coupling._VALUES[product] == functools.reduce(operator.mul, factors)
-        assert functools.reduce(coupling._product, reversed(ids)) == product
+        def skewed(*args):
+            return SignedRadical(1, Fraction(1, 3)) if args == (1, 1, 1, -1, 2, 0) else cg(*args)
 
-    def test_one_is_id_zero(self):
-        assert coupling._VALUES[0] == SignedRadical.one()
-        assert coupling._intern(SignedRadical.one()) == 0
-
-    def test_zero_is_never_interned(self):
-        with pytest.raises(ValueError):
-            coupling._intern(SignedRadical.zero())
-
-    def test_states_share_the_table_instances(self):
-        basis = full_basis(_sequential(6))
-        table = {id(value) for value in coupling._VALUES}
-        for _, state in basis:
-            assert all(id(amp) in table for amp in state.amplitudes.values())
+        monkeypatch.setattr(coupling, "_cg_doubled", skewed)
+        label = enumerate_multiplets(CouplingTree.parse("(1 2)"))[1]  # S = 1, m = 0
+        with pytest.raises(ValueError, match="irrational"):
+            expand(label)
 
 
 class TestTrustedConstructor:
     def test_checks_the_norm(self):
-        half = coupling._intern(SignedRadical.sqrt(0.5))
-        assert StateVector._from_value_ids(2, {0: half, 3: half}).norm_squared() == 1
+        half = Fraction(1, 2)
+        state = StateVector._from_integers(2, half, {0: 1, 3: -1})
+        assert state.amplitudes == {0: SignedRadical(1, half), 3: SignedRadical(-1, half)}
         with pytest.raises(ValueError, match="norm"):
-            StateVector._from_value_ids(2, {0: half, 1: half, 3: half})
+            StateVector._from_integers(2, half, {0: 1, 1: 1, 3: 1})
+        with pytest.raises(ValueError, match="norm"):
+            StateVector._from_integers(2, Fraction(1, 8), {0: 2, 3: 1})
 
     def test_checks_the_configurations(self):
         with pytest.raises(ValueError, match="out of range"):
-            StateVector._from_value_ids(1, {2: 0})
+            StateVector._from_integers(1, Fraction(1), {2: 1})
         with pytest.raises(ValueError, match="out of range"):
-            StateVector._from_value_ids(1, {-1: 0})
+            StateVector._from_integers(1, Fraction(1), {-1: 1})
 
     def test_outside_values_keep_full_validation(self):
         with pytest.raises(ValueError, match="norm"):

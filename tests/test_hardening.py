@@ -74,6 +74,21 @@ class TestStateFileHardening:
         with pytest.raises(StateFileError):
             parse_state_file("[" * 100_000 + "]" * 100_000)
 
+    @pytest.mark.parametrize("field", ["n", "re"])
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys, field):
+        # CPython refuses to read a JSON integer of more than 4,300 digits
+        # (where it has that limit; without it, the huge n or amplitude is
+        # refused as any other bad value).
+        huge = "1" + "0" * 5000
+        text = ('{"n": %s, "flavor": "numeric", "amplitudes": '
+                '[{"config": "u", "amp": {"re": %s, "im": 0}}]}')
+        text %= (huge, "1.0") if field == "n" else ("1", huge)
+        with pytest.raises(StateFileError):
+            parse_state_file(text)
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        _run_cli_error(capsys, ["measure", "--file", str(path)])
+
     # Each document would be valid with n = int(value); only a JSON
     # integer that is not a bool may give the particle count.
     @pytest.mark.parametrize("value, configs", [
