@@ -28,7 +28,7 @@ from .coupling import (
     recouple,
     triangle_ok,
 )
-from .exactnum import NotClosedError, SignedRadical, radical_sum
+from .exactnum import NotClosedError, SignedRadical
 from .measures import (
     DensityMatrix,
     MeasurementBasis,

@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify every state of a tree")
     p_verify.add_argument("tree")
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=float, default=1e-12)
 
     p_measure = sub.add_parser("measure", help="entanglement report for a state")
     p_measure.add_argument("name", nargs="?", default=None,

@@ -451,14 +451,6 @@ class CoupledLabel:
     def total_spin(self) -> Spin:
         return self.intermediates[-1]
 
-    def node_spins(self) -> dict[TreeNode, Spin]:
-        """Spin at every tree node (leaves included). Distinct particle
-        sets make structurally distinct nodes, so value keys are safe."""
-        spin_of: dict[TreeNode, Spin] = {leaf: leaf.spin for leaf in self.tree.leaves()}
-        for node, spin in zip(self.tree.internal_nodes(), self.intermediates):
-            spin_of[node] = spin
-        return spin_of
-
     def quantum_numbers(self) -> dict[str, str]:
         """Printable label, e.g. {"S12": "1", "S34": "1", "S": "2", "m": "0"}."""
         out = {
@@ -622,13 +614,6 @@ class StateVector:
         """Amplitudes sorted by descending configuration (all-up first)."""
         return sorted(self.amplitudes.items(), reverse=True)
 
-    def to_numeric(self) -> "StateVector":
-        if not self.exact:
-            return self
-        return StateVector.numeric_state(
-            self.n, {c: complex(a.to_float()) for c, a in self.amplitudes.items()}
-        )
-
     def to_array(self) -> np.ndarray:
         """Dense complex array in up-first basis order. An exact state
         converts each distinct value (each distinct k of an engine state)
@@ -652,14 +637,6 @@ class StateVector:
         arr[dense_index(configs, self.n)] = np.fromiter(map(value, amps.values()), dtype=complex,
                                                         count=count)
         return arr
-
-    def norm_squared(self) -> Fraction | float:
-        if self.exact:
-            return sum((a.squared() for a in self.amplitudes.values()), Fraction(0))
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
-
-    def config_string(self, config: int) -> str:
-        return config_to_string(config, self.n)
 
 
 # --------------------------------------------------------------------------
@@ -689,6 +666,15 @@ def enumerate_multiplets(tree: CouplingTree) -> list[CoupledLabel]:
         for m in projections(total):
             labels.append(CoupledLabel(tree, intermediates, m))
     return labels
+
+
+def _ratio_root(p: int, q: int, p_first: int, q_first: int) -> tuple[int, int] | None:
+    """(a, b) with (a/b)^2 = (p/q) / (p_first/q_first), or None when that
+    ratio is no rational square: the package's one test of whether two
+    radicals are rational multiples of each other. One ``isqrt``."""
+    b = q * p_first
+    a = math.isqrt(p * q_first * b)
+    return (a, b) if a * a == p * q_first * b else None
 
 
 def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
@@ -733,11 +719,11 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
         q = coeff.radicand.denominator * q_left * q_right
         if not branches:
             p_first, q_first = p, q
-        b = q * p_first  # (a/b)^2 = (p/q) / (p_first/q_first)
-        a = math.isqrt(p * q_first * b)
-        if a * a != p * q_first * b:
+        root = _ratio_root(p, q, p_first, q_first)
+        if root is None:
             raise ValueError(f"branch radicands {p}/{q} and {p_first}/{q_first} "
                              "differ by an irrational factor")
+        a, b = root
         branches.append((coeff.sign * a, b, *sorted((ints_left, ints_right), key=len)))
     lcm = math.lcm(*(b for _, b, _, _ in branches))
     factors = [a * (lcm // b) for a, b, _, _ in branches]

@@ -2,9 +2,12 @@
 
 Every amplitude in a coupled-basis expansion is a single product of
 Clebsch-Gordan coefficients, hence a signed square root of a rational.
-This module provides that one value type. Sums are closed only when the
-operands are rational multiples of the same radical; anything else raises
-:class:`NotClosedError`, which callers treat as a cue to drop to floats.
+This module provides that one value type: it multiplies, negates, floats,
+prints and round-trips through JSON. It does not add: a sum of coupled
+amplitudes is formed on integers, as ``sqrt(r)`` times an integer
+combination (``multiplets.coupling``, ``multiplets.operators``).
+:meth:`SignedRadical.as_rational` raises :class:`NotClosedError` for an
+irrational value.
 """
 
 from __future__ import annotations
@@ -12,40 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-__all__ = ["NotClosedError", "SignedRadical", "radical_sum"]
+__all__ = ["NotClosedError", "SignedRadical"]
 
 
 class NotClosedError(ArithmeticError):
     """The exact result is not of the form sign * sqrt(p/q)."""
-
-
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """Write n >= 1 as s*s*d with d squarefree; return (s, d).
-
-    Trial division stops at 2^20. What is left then must be 1, a prime or
-    a perfect square; anything else raises ValueError.
-    """
-    s, d = 1, 1
-    m = n
-    f = 2
-    while f * f <= m and f <= 1 << 20:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            s *= f ** (e // 2)
-            if e % 2:
-                d *= f
-        f += 1
-    if f * f > m:
-        return s, d * m  # leftover m is 1 or a prime with exponent 1
-    root = math.isqrt(m)
-    if root * root != m:
-        raise ValueError(f"cannot split {n}: {m} has no factor up to 2^20 and is not a square")
-    return s * root, d
 
 
 def _is_square(r: Fraction) -> bool:
@@ -119,33 +94,9 @@ class SignedRadical:
             return SignedRadical.zero()
         return SignedRadical(sign, self.radicand * other.radicand)
 
-    def __add__(self, other: "SignedRadical") -> "SignedRadical":
-        if not isinstance(other, SignedRadical):
-            return NotImplemented
-        return radical_sum((self, other))
-
-    def __sub__(self, other: "SignedRadical") -> "SignedRadical":
-        if not isinstance(other, SignedRadical):
-            return NotImplemented
-        return radical_sum((self, -other))
-
     def squared(self) -> Fraction:
         """The exact square; equals the radicand for any valid value."""
         return self.radicand
-
-    def canonical(self) -> tuple[Fraction, int]:
-        """Rewrite as coefficient * sqrt(d) with d squarefree.
-
-        Returns (coefficient, d); zero is (0, 0). Two radicals can be
-        added exactly iff their d values agree (or either is zero). Raises
-        ValueError when p*q, with its factors up to 2^20 divided out, leaves
-        (2^20 + 1)^2 or more that is not a perfect square.
-        """
-        if self.sign == 0:
-            return Fraction(0), 0
-        p, q = self.radicand.numerator, self.radicand.denominator
-        s, d = _squarefree_split(p * q)
-        return Fraction(self.sign * s, q), d
 
     def is_rational(self) -> bool:
         return self.sign == 0 or _is_square(self.radicand)
@@ -195,29 +146,3 @@ class SignedRadical:
     def __repr__(self) -> str:
         return f"SignedRadical({self.sign}, {self.radicand!r})"
 
-
-def radical_sum(terms: Iterable[SignedRadical]) -> SignedRadical:
-    """Exact sum of radicals, or NotClosedError if it leaves the domain.
-
-    Terms are grouped by squarefree kernel and the rational coefficients
-    are summed per group, so orderings that would trip a pairwise add
-    (e.g. sqrt(2) + sqrt(3) - sqrt(3) - sqrt(2)) still sum exactly.
-    """
-    groups: dict[int, Fraction] = {}
-    for term in terms:
-        coeff, kernel = term.canonical()
-        if kernel == 0:
-            continue
-        total = groups.get(kernel, Fraction(0)) + coeff
-        if total == 0:
-            groups.pop(kernel, None)
-        else:
-            groups[kernel] = total
-    if not groups:
-        return SignedRadical.zero()
-    if len(groups) > 1:
-        parts = ", ".join(f"{c}*sqrt({d})" for d, c in sorted(groups.items()))
-        raise NotClosedError(f"sum is not a single radical: {parts}")
-    (kernel, coeff), = groups.items()
-    sign = 1 if coeff > 0 else -1
-    return SignedRadical(sign, coeff * coeff * kernel)

@@ -10,24 +10,22 @@ set A is 3|A|/4 - |A|(|A| - 1)/4 + (the sum over i < j in A of P_ij), and
 S_z is the diagonal popcount(config) - n/2.
 
 ``verify_basis`` checks a whole basis exactly, on integer columns: sqrt(r)
-times coprime integers in one popcount sector. An engine-built state is
-one column, its integer form; any other state is split by popcount and
-squarefree kernel. Four times a Casimir minus its eigenvalue maps integer
-columns to integer columns, so every (Casimir, sector) is one integer
-product shared by all the sector's states, and a correct state gives
-exactly zero.
+times integers in one popcount sector. An engine-built state is
+one column, its integer form; any other state is split per popcount into
+columns of amplitudes whose radicands differ by rational squares, the
+expansion engine's own test. Four times a Casimir minus its eigenvalue
+maps integer columns to integer columns, so every (Casimir, sector) is
+one integer product shared by all the sector's states, and a correct
+state gives exactly zero.
 
-``ExchangeOperator.apply`` is the float form of the same operators, on
-dense vectors: P_ij swaps bits n - i and n - j of a dense index (the
-dense index is the bit complement of the configuration, and a bit swap
-commutes with the complement). With ``verify_eigenstate`` it now serves
-as the test oracle of ``verify_basis``; the scipy Kronecker products are a
-second oracle, in tests/.
+The float form of the same operators, which applies P_ij as a bit swap
+on dense vectors, is the test oracle of ``verify_basis``
+(tests/oracle_verify.py), beside the scipy Kronecker products of
+tests/oracle_operators.py. ``verify_eigenstate`` takes either one.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,52 +34,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import CoupledLabel, CouplingTree, StateVector
+from .coupling import CoupledLabel, CouplingTree, StateVector, _ratio_root
 
-__all__ = ["ExchangeOperator", "verify_eigenstate", "LabeledOperator", "commuting_set",
-           "verify_basis"]
+__all__ = ["verify_eigenstate", "LabeledOperator", "commuting_set", "verify_basis"]
 
 # Every integer of a column stays below this, so 4 X + c M (X a sum of at
 # most C(n, 2) gathered entries, |c| < 4 n^2) cannot reach 2^63 for n <= 64.
 _INT_LIMIT = 1 << 40
 
 
-@dataclass(frozen=True, eq=False)
-class ExchangeOperator:
-    """On ``n`` qubits: the Casimir of the particles ``sites``, a constant
-    plus one exchange per pair, or the total S_z, a diagonal, when
-    ``sites`` is None. The dense diagonal and swap rows are built on the
-    first ``apply``; ``verify_basis`` never needs them."""
-
-    n: int
-    sites: tuple[int, ...] | None = None
-
-    @functools.cached_property
-    def _dense(self) -> tuple[float | np.ndarray, np.ndarray]:
-        n = self.n
-        index = np.arange(1 << n)
-        if self.sites is None:
-            down = sum(index >> bit & 1 for bit in range(n))
-            return n / 2 - down, np.empty((0, 1 << n), dtype=np.intp)
-        # Flip both bits of a pair where they differ: that swaps them.
-        rows = [index ^ (index >> (n - i) ^ index >> (n - j)) % 2 * (1 << (n - i) | 1 << (n - j))
-                for i, j in itertools.combinations(self.sites, 2)]
-        size = len(self.sites)
-        swaps = np.array(rows, dtype=np.intp).reshape(len(rows), 1 << n)
-        return (3 * size - size * (size - 1)) / 4, swaps
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Operator-vector product, not normalized."""
-        diagonal, swaps = self._dense
-        if psi.shape != swaps.shape[1:]:
-            raise ValueError(f"state has shape {psi.shape}, operator {swaps.shape[1:]}")
-        return diagonal * psi + psi[swaps].sum(axis=0)
-
-
-def verify_eigenstate(op: ExchangeOperator, psi: StateVector | np.ndarray,
-                      eigenvalue: float, tol: float = 1e-12) -> tuple[bool, float]:
+def verify_eigenstate(op, psi: StateVector | np.ndarray, eigenvalue: float,
+                      tol: float = 1e-12) -> tuple[bool, float]:
     """Residual norm ||op psi - eigenvalue psi|| in floats, and whether it
-    is <= tol."""
+    is <= tol, for any ``op`` whose ``apply`` maps a dense vector to one."""
     arr = psi.to_array() if isinstance(psi, StateVector) else np.asarray(psi)
     residual = float(np.linalg.norm(op.apply(arr) - eigenvalue * arr))
     return residual <= tol, residual
@@ -89,10 +54,11 @@ def verify_eigenstate(op: ExchangeOperator, psi: StateVector | np.ndarray,
 
 @dataclass(frozen=True)
 class LabeledOperator:
-    """A member of a tree's commuting set with its label-read eigenvalue."""
+    """A member of a tree's commuting set: its name, the particles of its
+    node (None for the total S_z), and its label-read eigenvalue."""
 
     name: str
-    operator: ExchangeOperator
+    sites: tuple[int, ...] | None
     eigenvalue_of: Callable[[CoupledLabel], float]
 
 
@@ -104,13 +70,12 @@ def commuting_set(tree: CouplingTree) -> list[LabeledOperator]:
     are read off a label: s(s+1) for each intermediate spin and m for the
     projection.
     """
-    n = tree.n
     members = [
-        LabeledOperator(f"{name}^2", ExchangeOperator(n, tree.node_particles(node)),
+        LabeledOperator(f"{name}^2", tree.node_particles(node),
                         lambda lab, k=k: float(lab.intermediates[k].casimir_eigenvalue()))
         for k, (node, name) in enumerate(zip(tree.internal_nodes(), tree.node_names()))
     ]
-    members.append(LabeledOperator("S_z", ExchangeOperator(n), lambda lab: float(lab.total_m.m)))
+    members.append(LabeledOperator("S_z", None, lambda lab: float(lab.total_m.m)))
     return members
 
 
@@ -120,24 +85,33 @@ def commuting_set(tree: CouplingTree) -> list[LabeledOperator]:
 
 def _columns(state: StateVector) -> list[tuple[int, Fraction, dict[int, int]]]:
     """``state`` as integer columns (popcount, r, {mask: k}) of amplitudes
-    sqrt(r) * k. An engine-built state is one column, its own integer form;
-    any other is split by (popcount, squarefree kernel), and raises
-    ValueError if a column needs a common denominator of 2^40 or more.
+    sqrt(r) * k. An engine-built state is one column, its own integer form.
+    In any other, an amplitude joins the first column of its popcount whose
+    first radicand differs from its own by a rational square, else starts
+    a column; each column is scaled by the lcm of its denominators. Raises
+    ValueError if a column needs a common denominator, or an integer, of
+    2^40 or more.
     """
     if state._integer is not None:
         r, ints = state._integer
         return [(next(iter(ints)).bit_count(), r, ints)]
-    groups: dict[tuple[int, int], dict[int, Fraction]] = {}
+    groups: list[tuple[int, int, int, dict[int, Fraction]]] = []
     for mask, amp in state.amplitudes.items():
-        coefficient, kernel = amp.canonical()
-        groups.setdefault((mask.bit_count(), kernel), {})[mask] = coefficient
+        p, q = amp.radicand.numerator, amp.radicand.denominator
+        for weight, p_first, q_first, coefficients in groups:
+            root = weight == mask.bit_count() and _ratio_root(p, q, p_first, q_first)
+            if root:
+                coefficients[mask] = Fraction(amp.sign * root[0], root[1])
+                break
+        else:
+            groups.append((mask.bit_count(), p, q, {mask: Fraction(amp.sign)}))
     columns = []
-    for (weight, kernel), coefficients in groups.items():
+    for weight, p_first, q_first, coefficients in groups:
         lcm = math.lcm(*(c.denominator for c in coefficients.values()))
-        if lcm >= _INT_LIMIT:
+        ints = {mask: int(c * lcm) for mask, c in coefficients.items()}
+        if lcm >= _INT_LIMIT or max(map(abs, ints.values())) >= _INT_LIMIT:
             raise ValueError("a state needs integers of 2^40 or more")
-        columns.append((weight, Fraction(kernel, lcm * lcm),
-                        {mask: int(c * lcm) for mask, c in coefficients.items()}))
+        columns.append((weight, Fraction(p_first, q_first * lcm * lcm), ints))
     return columns
 
 
@@ -149,7 +123,7 @@ def verify_basis(tree: CouplingTree,
     A residual is ||(op - eigenvalue) psi||, with the eigenvalue read off
     the state's label. It is exactly 0.0 for an eigenvector; otherwise it
     is the float square root of the exact squared norm (for a state of one
-    kernel) or of a float sum of exact terms (for several). S_z is checked
+    column per sector) or of a float sum of exact terms (for several). S_z is checked
     too: an entry outside the label's popcount adds (delta m)^2 amp^2. The
     Casimir of a node over particles A is checked per popcount sector as
     R = 4 X + (3|A| - |A|(|A| - 1) - 2s(2s + 2)) M, with M the sector's
@@ -177,7 +151,7 @@ def verify_basis(tree: CouplingTree,
 
     def add(key: tuple[int, int], factor: Fraction, cols: list[int], vectors) -> None:
         # factor * ||sum over cols of sqrt(r) * vector||^2: an exact part, plus
-        # the float cross terms sqrt(r r') of columns of distinct kernels.
+        # the float cross terms sqrt(r r') of columns whose radicals differ.
         radicands = [columns[c][2] for c in cols]
         total = norm2.setdefault(key, [Fraction(0), 0.0])
         for r, vector in zip(radicands, vectors):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -36,7 +35,6 @@ from .measures import (
 from .operators import commuting_set, verify_basis
 
 __all__ = [
-    "default_tolerance",
     "emit_table",
     "emit_state_row",
     "emit_recoupling",
@@ -44,15 +42,6 @@ __all__ = [
     "emit_json",
     "run_measures",
 ]
-
-TOLERANCE_ENV_VAR = "MULTIPLETS_TOL"
-
-
-def default_tolerance() -> float:
-    """Default verification tolerance, overridable via MULTIPLETS_TOL."""
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    return float(raw) if raw else 1e-12
-
 
 # --------------------------------------------------------------------------
 # Amplitude and label formatting
@@ -179,7 +168,7 @@ def emit_recoupling(coefficients: dict[CoupledLabel, float]) -> bytes:
 MAX_VERIFY_QUBITS = 12
 
 
-def run_verify(tree: CouplingTree, tol: float | None = None) -> dict:
+def run_verify(tree: CouplingTree, tol: float = 1e-12) -> dict:
     """Check every coupled state against the tree's full commuting set.
 
     Each label is checked as an eigenstate of every internal-node Casimir
@@ -193,8 +182,6 @@ def run_verify(tree: CouplingTree, tol: float | None = None) -> dict:
     """
     if tree.n > MAX_VERIFY_QUBITS:
         raise ValueError(f"verification supports at most {MAX_VERIFY_QUBITS} particles")
-    if tol is None:
-        tol = default_tolerance()
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     tol = abs(tol)  # -0.0 passed the check above; report it as 0.0

@@ -16,13 +16,12 @@ verification path and does not need scipy at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from multiplets.coupling import CoupledLabel, CouplingTree, StateVector
-from multiplets.operators import LabeledOperator
 
 _HERMITIAN_TOL = 1e-14
 
@@ -98,7 +97,17 @@ def total_sz(n: int) -> SparseOperator:
     return SparseOperator(total.tocsr())
 
 
-def commuting_set(tree: CouplingTree) -> list[LabeledOperator]:
+@dataclass(frozen=True)
+class Member:
+    """A member of a tree's commuting set, as a matrix, with its
+    label-read eigenvalue."""
+
+    name: str
+    operator: SparseOperator
+    eigenvalue_of: Callable[[CoupledLabel], float]
+
+
+def commuting_set(tree: CouplingTree) -> list[Member]:
     """The commuting operators a tree's coupled states diagonalize.
 
     One Casimir per internal node (the root Casimir is the total squared
@@ -106,17 +115,15 @@ def commuting_set(tree: CouplingTree) -> list[LabeledOperator]:
     a label: s(s+1) for each intermediate spin and m for the projection.
     """
     n = tree.n
-    members: list[LabeledOperator] = []
+    members: list[Member] = []
     for position, (node, name) in enumerate(zip(tree.internal_nodes(), tree.node_names())):
         op = subset_casimir(n, tree.node_particles(node))
 
         def casimir_value(label: CoupledLabel, pos: int = position) -> float:
             return float(label.intermediates[pos].casimir_eigenvalue())
 
-        members.append(LabeledOperator(f"{name}^2", op, casimir_value))
-    members.append(
-        LabeledOperator("S_z", total_sz(n), lambda label: float(label.total_m.m))
-    )
+        members.append(Member(f"{name}^2", op, casimir_value))
+    members.append(Member("S_z", total_sz(n), lambda label: float(label.total_m.m)))
     return members
 
 

@@ -22,7 +22,7 @@ from multiplets.coupling import (
     full_basis,
     recouple,
 )
-from multiplets.exactnum import SignedRadical, radical_sum
+from multiplets.exactnum import SignedRadical
 from multiplets.measures import (
     MeasurementBasis,
     ThreeQubitClass,
@@ -38,6 +38,8 @@ from multiplets.report import emit_table
 from multiplets.statefile import emit_state_file, parse_state_file
 
 import oracle_operators
+from exact_sums import radical_sum
+from oracle_verify import ExchangeOperator
 from reference_tables import (
     ALL_TABLES,
     DEVIATING_ROWS,
@@ -135,7 +137,8 @@ def test_criterion_4_eigenstate_verification():
                 arr = expand(label).to_array()
                 for member in members:
                     ok, residual = verify_eigenstate(
-                        member.operator, arr, member.eigenvalue_of(label), tol=1e-12
+                        ExchangeOperator.of(tree, member), arr, member.eigenvalue_of(label),
+                        tol=1e-12
                     )
                     assert ok, (str(label), member.name, residual)
 

@@ -26,8 +26,10 @@ from multiplets.coupling import (
     recouple,
     triangle_ok,
 )
-from multiplets.exactnum import SignedRadical, radical_sum
+from multiplets.exactnum import SignedRadical
 from multiplets.statefile import emit_state_file, parse_state_file
+
+from exact_sums import radical_sum
 
 
 def rad(text):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from multiplets.exactnum import NotClosedError, SignedRadical, radical_sum
+from multiplets.exactnum import NotClosedError, SignedRadical
+
+from exact_sums import radical_sum
 
 
 def sqrt_of(p, q=1, sign=1):
@@ -58,23 +60,30 @@ class TestMultiplication:
         assert (sqrt_of(1, 2, -1) * sqrt_of(1, 3)).sign == -1
 
 
+def add(*terms):
+    return radical_sum(terms)
+
+
 class TestAddition:
+    """The test helper ``exact_sums.radical_sum``: the package itself
+    never adds radicals."""
+
     def test_same_radical_doubles(self):
         # sqrt(1/6) + sqrt(1/6) = sqrt(4/6) = sqrt(2/3)
-        assert sqrt_of(1, 6) + sqrt_of(1, 6) == sqrt_of(2, 3)
+        assert add(sqrt_of(1, 6), sqrt_of(1, 6)) == sqrt_of(2, 3)
 
     def test_cancellation(self):
-        assert sqrt_of(1, 2) + sqrt_of(1, 2, -1) == SignedRadical.zero()
+        assert add(sqrt_of(1, 2), sqrt_of(1, 2, -1)) == SignedRadical.zero()
 
     def test_irrational_ratio_not_closed(self):
         with pytest.raises(NotClosedError):
-            sqrt_of(1, 2) + sqrt_of(1, 3)
+            add(sqrt_of(1, 2), sqrt_of(1, 3))
 
     def test_zero_is_identity(self):
-        assert sqrt_of(1, 2) + SignedRadical.zero() == sqrt_of(1, 2)
+        assert add(sqrt_of(1, 2), SignedRadical.zero()) == sqrt_of(1, 2)
 
     def test_subtraction(self):
-        assert sqrt_of(2, 3) - sqrt_of(1, 6) == sqrt_of(1, 6)
+        assert add(sqrt_of(2, 3), -sqrt_of(1, 6)) == sqrt_of(1, 6)
 
     def test_sum_regroups_across_classes(self):
         # Pairwise adds would fail immediately; the grouped sum is exact.
@@ -89,44 +98,17 @@ class TestAddition:
         with pytest.raises(NotClosedError):
             radical_sum([sqrt_of(2), sqrt_of(3), sqrt_of(5, sign=-1)])
 
-
-
-# Two Mersenne primes, far above the trial-division bound of 2^20.
-M31, M61 = 2**31 - 1, 2**61 - 1
-
-
-class TestCanonical:
-    def test_small_radicands(self):
-        assert sqrt_of(1, 2).canonical() == (Fraction(1, 2), 2)
-        assert sqrt_of(8, 9, sign=-1).canonical() == (Fraction(-2, 3), 2)
-        assert sqrt_of(9, 4).canonical() == (Fraction(3, 2), 1)
-        assert SignedRadical.zero().canonical() == (Fraction(0), 0)
-
-    def test_square_of_large_factors_is_quick(self):
-        # 2^40 + 1 = 257 * 4278255361: the cofactor left at the bound is a square.
+    @pytest.mark.parametrize("p", [(2**31 - 1) * (2**61 - 1), 2**61 - 1, (2**31 - 1) ** 3],
+                             ids=["two_primes", "prime", "cube"])
+    def test_large_prime_radicands_sum_quickly(self, p):
+        # Nothing is factored: a radicand with prime factors far above any
+        # trial-division bound groups like a small one.
         start = time.perf_counter()
-        radical = SignedRadical(1, Fraction(1, (2**40 + 1) ** 2))
-        assert radical.canonical() == (Fraction(1, 2**40 + 1), 1)
+        assert add(sqrt_of(1, p), sqrt_of(1, p)) == sqrt_of(4, p)
+        assert add(sqrt_of(1, p), sqrt_of(9, 4 * p), sqrt_of(1, p, -1)) == sqrt_of(9, 4 * p)
+        with pytest.raises(NotClosedError):
+            add(sqrt_of(1, p), sqrt_of(2, p))
         assert time.perf_counter() - start < 1.0
-
-    def test_prime_below_the_square_of_the_bound(self):
-        assert sqrt_of(3 * M31, 8).canonical() == (Fraction(1, 4), 6 * M31)
-
-    def test_square_of_a_large_prime_times_a_kernel(self):
-        assert sqrt_of(5 * M61**2).canonical() == (Fraction(M61), 5)
-
-    @pytest.mark.parametrize("p", [M31 * M61, M61, M31**3], ids=["two_primes", "prime", "cube"])
-    def test_unsplittable_radicand_raises_quickly(self, p):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="cannot split"):
-            sqrt_of(1, p).canonical()
-        assert time.perf_counter() - start < 1.0
-
-    @given(st.integers(1, 10**4), st.integers(1, 10**4))
-    def test_coefficient_and_kernel_rebuild_the_radicand(self, p, q):
-        coeff, kernel = sqrt_of(p, q).canonical()
-        assert coeff * coeff * kernel == Fraction(p, q)
-        assert all(kernel % (f * f) for f in range(2, math.isqrt(kernel) + 1))
 
 
 class TestFloat:
@@ -176,12 +158,12 @@ def test_addition_commutes_when_closed(ra, rb, sa, sb):
     a = SignedRadical.sqrt(ra, sa)
     b = SignedRadical.sqrt(rb, sb)
     try:
-        left = a + b
+        left = add(a, b)
     except NotClosedError:
         with pytest.raises(NotClosedError):
-            b + a
+            add(b, a)
         return
-    assert left == b + a
+    assert left == add(b, a)
 
 
 @given(nonneg_rationals, rationals, rationals, rationals)
@@ -191,7 +173,7 @@ def test_addition_associates_on_shared_class(base, c1, c2, c3):
         return SignedRadical.from_rational(c) * SignedRadical.sqrt(base)
 
     a, b, c = scaled(c1), scaled(c2), scaled(c3)
-    assert (a + b) + c == a + (b + c)
+    assert add(add(a, b), c) == add(a, add(b, c)) == add(a, b, c)
 
 
 class TestJson:

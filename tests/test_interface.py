@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from multiplets.cli import main
-from multiplets.coupling import CouplingTree, StateVector, config_from_string
+from multiplets.coupling import CouplingTree, StateVector, config_from_string, config_to_string
 from multiplets.registry import available_states, named_state
-from multiplets.report import (
-    TOLERANCE_ENV_VAR,
-    default_tolerance,
-    emit_table,
-    run_measures,
-    run_verify,
-)
+from multiplets.report import emit_table, run_measures, run_verify
 from multiplets.statefile import StateFileError, emit_state_file, parse_state_file
 
 PAIR = CouplingTree.parse("(1 2)")
@@ -53,7 +47,7 @@ class TestStateFile:
             assert b'"re": -0.0' in data and b'"im": -0.0' in data
 
     def test_round_trip_numeric(self):
-        state = named_state("dicke42").to_numeric()
+        state = StateVector.from_array(named_state("dicke42").to_array())
         back = parse_state_file(emit_state_file(state))
         assert set(back.amplitudes) == set(state.amplitudes)
         for config, amp in state.amplitudes.items():
@@ -106,11 +100,11 @@ class TestRegistry:
         for name in available_states():
             state = named_state(name)
             assert state.exact
-            assert state.norm_squared() == 1
+            assert sum(a.squared() for a in state.amplitudes.values()) == 1
 
     def test_w4bar_is_flipped_w(self):
         state = named_state("w4bar")
-        assert {state.config_string(c) for c in state.amplitudes} == {
+        assert {config_to_string(c, 4) for c in state.amplitudes} == {
             "dddu", "ddud", "dudd", "uddd"
         }
 
@@ -144,7 +138,7 @@ class TestEmitTable:
             assert row["label"] == label.quantum_numbers()
             amps = {e["config"]: e["amp"] for e in row["amplitudes"]}
             assert amps == {
-                state.config_string(c): a.to_json_dict()
+                config_to_string(c, 4): a.to_json_dict()
                 for c, a in state.amplitudes.items()
             }
 
@@ -188,22 +182,20 @@ class TestRunVerify:
         from multiplets.coupling import dense_index
         from multiplets.operators import commuting_set, verify_eigenstate
         from oracle_operators import commuting_set as oracle_commuting_set
+        from oracle_verify import ExchangeOperator
 
         state = named_state("dicke42").to_array()
         state[dense_index(config_from_string("udud"), 4)] *= -1
-        for members in (commuting_set(PAIR_PAIR), oracle_commuting_set(PAIR_PAIR)):
-            intermediate = members[0]
-            assert intermediate.name == "S12^2"
-            ok, residual = verify_eigenstate(intermediate.operator, state, 2.0)
+        package, oracle = commuting_set(PAIR_PAIR)[0], oracle_commuting_set(PAIR_PAIR)[0]
+        assert package.name == oracle.name == "S12^2"
+        for operator in (ExchangeOperator.of(PAIR_PAIR, package), oracle.operator):
+            ok, residual = verify_eigenstate(operator, state, 2.0)
             assert not ok and residual > 0.1
 
-    def test_env_var_overrides_tolerance(self, monkeypatch):
-        monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-3")
-        assert default_tolerance() == 1e-3
-        report = run_verify(PAIR)
-        assert report["tol"] == 1e-3
-        monkeypatch.delenv(TOLERANCE_ENV_VAR)
-        assert default_tolerance() == 1e-12
+    def test_default_tolerance(self, capsys):
+        assert run_verify(PAIR)["tol"] == 1e-12
+        assert main(["verify", "(1 2)"]) == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == 1e-12
 
 
 class TestRunMeasures:

@@ -1,8 +1,9 @@
-"""The exchange operators of ``multiplets.operators`` against the oracle.
+"""The members of ``multiplets.operators.commuting_set`` against the oracle.
 
 ``tests/oracle_operators.py`` builds every member of a tree's commuting
-set from scipy Kronecker products; the package applies the same members
-as a constant or a diagonal plus particle exchanges. For every tree with
+set from scipy Kronecker products; ``tests/oracle_verify.py`` applies the
+package's members, read from their particle sets, as a constant or a
+diagonal plus particle exchanges. For every tree with
 n <= 4, 20 sampled n = 5 trees and the sequential and balanced n = 8
 trees, both must list the same members, with the same names and the same
 eigenvalues, and give the same product on random real and complex
@@ -22,6 +23,7 @@ from multiplets.coupling import CouplingTree, all_coupling_trees, full_basis
 from multiplets.operators import commuting_set
 
 import oracle_operators
+from oracle_verify import ExchangeOperator
 
 TREES = (
     [t for n in (2, 3, 4) for t in all_coupling_trees(range(1, n + 1))]
@@ -50,7 +52,7 @@ def test_members_match_the_oracle(tree):
     vectors += [state.to_array() for _, state in basis]
     for member, reference in zip(members, oracle):
         for vector in vectors:
-            np.testing.assert_allclose(member.operator.apply(vector),
+            np.testing.assert_allclose(ExchangeOperator.of(tree, member).apply(vector),
                                        reference.operator.apply(vector),
                                        rtol=0, atol=1e-12, err_msg=member.name)
 

@@ -103,6 +103,14 @@ class TestFullBasisAgainstExpand:
 # --------------------------------------------------------------------------
 # Racah's formula for one rotation ((A B) C) <-> (A (B C))
 
+def _node_spins(label):
+    """Spin at every tree node of ``label``, leaves included. Distinct
+    particle sets make structurally distinct nodes, so value keys are safe."""
+    spins = {leaf: leaf.spin for leaf in label.tree.leaves()}
+    spins.update(zip(label.tree.internal_nodes(), label.intermediates))
+    return spins
+
+
 def _racah(sympy, a, b, c, j_ab, j_bc, total):
     """<(a b) j_ab, c; J | a, (b c) j_bc; J> from one Wigner 6j symbol
     (Racah, Phys. Rev. 62, 438 (1942))."""
@@ -142,7 +150,7 @@ def test_single_rotation_matches_six_j(parts):
     bc_node = target.root.right
     assert isinstance(bc_node, Node)
     for label in enumerate_multiplets(source):
-        spins = label.node_spins()
+        spins = _node_spins(label)
         a, b, c = (spins[node].j for node in (a_node, b_node, c_node))
         j_ab, total = spins[source.root.left].j, label.total_spin.j
         coefficients = recouple(label, target)
@@ -154,7 +162,7 @@ def test_single_rotation_matches_six_j(parts):
                 expected[j_bc] = value
         got = {}
         for target_label, coeff in coefficients.items():
-            target_spins = target_label.node_spins()
+            target_spins = _node_spins(target_label)
             # The nodes both trees share are those of A, B and C; their
             # spins do not change under the rotation.
             shared = spins.keys() & target_spins.keys()

@@ -125,6 +125,17 @@ def test_mutated_residuals_match_the_oracle(spec, kind):
         assert failing[:, -1].any()  # S_z sees the moved amplitude
 
 
+@pytest.mark.parametrize("spec", MUTATED_TREES)
+def test_outside_copies_verify_exactly(spec):
+    # The same states built through the validating constructor take the
+    # outside path: amplitudes grouped by rational-square ratios.
+    tree = CouplingTree.parse(spec)
+    basis = full_basis(tree)
+    copies = [(label, StateVector.exact_state(tree.n, state.amplitudes)) for label, state in basis]
+    assert all(state._integer is None for _, state in copies)
+    assert (verify_basis(tree, copies) == 0.0).all()
+
+
 def test_sign_flip_fails_the_report(monkeypatch):
     tree = CouplingTree.parse("((1 2) (3 4))")
     basis = full_basis(tree)
@@ -141,16 +152,34 @@ def test_sign_flip_fails_the_report(monkeypatch):
     assert all(c["pass"] for row in report["results"][:7] for c in row["checks"])
 
 
-def test_integers_of_2_40_are_refused():
+@pytest.mark.parametrize("shift", [82, 130])
+@pytest.mark.parametrize("small_first", [True, False], ids=["small_first", "large_first"])
+def test_integers_of_2_40_are_refused(small_first, shift):
     tree = CouplingTree.parse("(1 2)")
     basis = full_basis(tree)
     label, _ = basis[1]  # S = 1, m = 0: ud and du
-    # sqrt(1 - 2^-81) is sqrt(2 (2^81 - 1)) / 2^41: a denominator of 2^41.
+    # rho and 2^shift rho differ by the square of 2^(shift / 2): one column,
+    # of integers 1 and 2^(shift / 2) when rho comes first, else of the
+    # denominator 2^(shift / 2). Past 2^63 the integers would overflow int64.
+    rho = Fraction(1, 1 + (1 << shift))
+    amps = [(0b10, SignedRadical(1, rho)), (0b01, SignedRadical(1, rho * (1 << shift)))]
+    basis[1] = (label, StateVector.exact_state(2, dict(amps if small_first else amps[::-1])))
+    with pytest.raises(ValueError, match="2\\^40"):
+        verify_basis(tree, basis)
+
+
+def test_denominators_of_irrational_ratios_stay_small():
+    tree = CouplingTree.parse("(1 2)")
+    basis = full_basis(tree)
+    label, _ = basis[1]
+    # sqrt(2^-81) and sqrt(1 - 2^-81) differ by an irrational factor: two
+    # columns of one integer each, where a squarefree split needs 2^41.
     small = Fraction(1, 1 << 81)
     amps = {0b10: SignedRadical(1, small), 0b01: SignedRadical(1, 1 - small)}
     basis[1] = (label, StateVector.exact_state(2, amps))
-    with pytest.raises(ValueError, match="2\\^40"):
-        verify_basis(tree, basis)
+    want = _residuals(oracle_verify.run_verify(tree, 1e-12, basis))
+    assert want[1, 0] > 1
+    np.testing.assert_allclose(verify_basis(tree, basis), want, rtol=1e-9, atol=1e-12)
 
 
 def _dumps(value) -> bytes:
