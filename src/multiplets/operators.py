@@ -9,14 +9,12 @@ Two spins 1/2 obey s_i . s_j = P_ij / 2 - 1/4, with P_ij their exchange
 set A is 3|A|/4 - |A|(|A| - 1)/4 + (the sum over i < j in A of P_ij), and
 S_z is the diagonal popcount(config) - n/2.
 
-``verify_basis`` checks a whole basis exactly, on integer columns: sqrt(r)
-times integers in one popcount sector. An engine-built state is
-one column, its integer form; any other state is split per popcount into
-columns of amplitudes whose radicands differ by rational squares, the
-expansion engine's own test. Four times a Casimir minus its eigenvalue
-maps integer columns to integer columns, so every (Casimir, sector) is
-one integer product shared by all the sector's states, and a correct
-state gives exactly zero.
+``verify_basis`` checks a whole basis of expanded states exactly. Each
+state is one integer column of its popcount sector, the expansion
+engine's form sqrt(r) times coprime integers; it takes no other state.
+Four times a Casimir minus its eigenvalue maps integer columns to integer
+columns, so every (Casimir, sector) is one integer product shared by all
+the sector's states, and a correct state gives exactly zero.
 
 The float form of the same operators, which applies P_ij as a bit swap
 on dense vectors, is the test oracle of ``verify_basis``
@@ -29,12 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import CoupledLabel, CouplingTree, StateVector, _ratio_root
+from .coupling import CoupledLabel, CouplingTree, StateVector
 
 __all__ = ["verify_eigenstate", "LabeledOperator", "commuting_set", "verify_basis"]
 
@@ -83,59 +80,29 @@ def commuting_set(tree: CouplingTree) -> list[LabeledOperator]:
 # The exact, sector-batched check
 
 
-def _columns(state: StateVector) -> list[tuple[int, Fraction, dict[int, int]]]:
-    """``state`` as integer columns (popcount, r, {mask: k}) of amplitudes
-    sqrt(r) * k. An engine-built state is one column, its own integer form.
-    In any other, an amplitude joins the first column of its popcount whose
-    first radicand differs from its own by a rational square, else starts
-    a column; each column is scaled by the lcm of its denominators. Raises
-    ValueError if a column needs a common denominator, or an integer, of
-    2^40 or more.
-    """
-    if state._integer is not None:
-        r, ints = state._integer
-        return [(next(iter(ints)).bit_count(), r, ints)]
-    groups: list[tuple[int, int, int, dict[int, Fraction]]] = []
-    for mask, amp in state.amplitudes.items():
-        p, q = amp.radicand.numerator, amp.radicand.denominator
-        for weight, p_first, q_first, coefficients in groups:
-            root = weight == mask.bit_count() and _ratio_root(p, q, p_first, q_first)
-            if root:
-                coefficients[mask] = Fraction(amp.sign * root[0], root[1])
-                break
-        else:
-            groups.append((mask.bit_count(), p, q, {mask: Fraction(amp.sign)}))
-    columns = []
-    for weight, p_first, q_first, coefficients in groups:
-        lcm = math.lcm(*(c.denominator for c in coefficients.values()))
-        ints = {mask: int(c * lcm) for mask, c in coefficients.items()}
-        if lcm >= _INT_LIMIT or max(map(abs, ints.values())) >= _INT_LIMIT:
-            raise ValueError("a state needs integers of 2^40 or more")
-        columns.append((weight, Fraction(p_first, q_first * lcm * lcm), ints))
-    return columns
-
-
 def verify_basis(tree: CouplingTree,
                  basis: Sequence[tuple[CoupledLabel, StateVector]]) -> np.ndarray:
     """Exact residual of each state of ``basis`` under each member of
     ``commuting_set(tree)``, as a (states, members) float array.
 
+    Every state must be an expanded one, sqrt(r) times coprime integers
+    (its ``_integer`` form), with all its masks in one popcount sector.
     A residual is ||(op - eigenvalue) psi||, with the eigenvalue read off
-    the state's label. It is exactly 0.0 for an eigenvector; otherwise it
-    is the float square root of the exact squared norm (for a state of one
-    column per sector) or of a float sum of exact terms (for several). S_z is checked
-    too: an entry outside the label's popcount adds (delta m)^2 amp^2. The
-    Casimir of a node over particles A is checked per popcount sector as
-    R = 4 X + (3|A| - |A|(|A| - 1) - 2s(2s + 2)) M, with M the sector's
-    integer columns and X the sum of P_ij M over i < j in A, built up the
-    tree: X_node = X_left + X_right + (P_ij M over i in left, j in right),
-    C(n, 2) row gathers per sector in all. Raises ValueError if an integer
-    of a column, or the common denominator that an outside state's column
-    needs, reaches 2^40.
+    the state's label. It is exactly 0.0 for an eigenvector. S_z is checked
+    too: a state outside its label's popcount sector has norm 1, so its
+    residual is |delta m|. The Casimir of a node over particles A is
+    checked per popcount sector as R = 4 X + (3|A| - |A|(|A| - 1) -
+    2s(2s + 2)) M, with M the sector's integer columns and X the sum of
+    P_ij M over i < j in A, built up the tree: X_node = X_left + X_right +
+    (P_ij M over i in left, j in right), C(n, 2) row gathers per sector in
+    all. A failing check reports sqrt(r * sum(R^2) / 16), the float square
+    root of the exact squared residual. Raises ValueError for any other
+    state, a state that spans several popcount sectors, or an integer of
+    2^40 or more.
     """
     n = tree.n
-    if any(state.n != n or not state.exact for _, state in basis):
-        raise ValueError(f"verification needs exact states of {n} particles")
+    if any(state.n != n or state._integer is None for _, state in basis):
+        raise ValueError(f"verification needs expanded states of {n} particles")
     nodes = tree.internal_nodes()
     particles = {id(node): tree.node_particles(node) for node in nodes + tree.leaves()}
     config = np.arange(1 << n)
@@ -143,42 +110,30 @@ def verify_basis(tree: CouplingTree,
     rank = np.empty(1 << n, dtype=np.intp)
     for w in range(n + 1):
         rank[popcount == w] = np.arange(math.comb(n, w))
-    # (state, popcount, r, {mask: k}) per column, ordered by state.
-    columns = [(s, *column) for s, (_, state) in enumerate(basis) for column in _columns(state)]
+    integers = [state._integer for _, state in basis]
+    weights = [next(iter(ints)).bit_count() for _, ints in integers]
     two_j = np.array([[spin.two_j for spin in label.intermediates] for label, _ in basis])
-    label_weight = [(n + label.total_m.two_m) // 2 for label, _ in basis]
-    norm2: dict[tuple[int, int], list] = {}
-
-    def add(key: tuple[int, int], factor: Fraction, cols: list[int], vectors) -> None:
-        # factor * ||sum over cols of sqrt(r) * vector||^2: an exact part, plus
-        # the float cross terms sqrt(r r') of columns whose radicals differ.
-        radicands = [columns[c][2] for c in cols]
-        total = norm2.setdefault(key, [Fraction(0), 0.0])
-        for r, vector in zip(radicands, vectors):
-            total[0] += factor * r * sum(x * x for x in vector)
-        for (ra, va), (rb, vb) in itertools.combinations(zip(radicands, vectors), 2):
-            total[1] += 2 * float(factor) * sum(x * y for x, y in zip(va, vb)) * math.sqrt(ra * rb)
-
-    for c, (s, weight, _, ints) in enumerate(columns):
-        if weight != label_weight[s]:  # entries off the label's S_z sector
-            add((s, len(nodes)), Fraction((weight - label_weight[s]) ** 2), [c],
-                [list(ints.values())])
-    for w in sorted({weight for _, weight, _, _ in columns}):
-        in_sector = [c for c, column in enumerate(columns) if column[1] == w]
-        sector = [columns[c][3] for c in in_sector]
+    out = np.zeros((len(basis), len(nodes) + 1))
+    for s, (label, _) in enumerate(basis):  # S_z: |delta m| off the label's sector
+        out[s, -1] = abs(weights[s] - (n + label.total_m.two_m) // 2)
+    for w in sorted(set(weights)):
+        in_sector = [s for s, weight in enumerate(weights) if weight == w]
+        sector = [integers[s][1] for s in in_sector]
         lengths = [len(ints) for ints in sector]
         masks = np.fromiter(itertools.chain.from_iterable(sector), np.int64, sum(lengths))
-        values = np.fromiter(itertools.chain.from_iterable(ints.values() for ints in sector),
-                             np.int64, sum(lengths))
-        if (popcount[masks] != w).any():
-            raise ValueError("a column spans several popcount sectors")
-        if np.abs(values).max() >= _INT_LIMIT:
+        try:
+            values = np.fromiter(itertools.chain.from_iterable(ints.values() for ints in sector),
+                                 np.int64, sum(lengths))
+        except OverflowError:  # an integer of 2^63 or more
+            raise ValueError("a state needs integers of 2^40 or more") from None
+        if values.max() >= _INT_LIMIT or values.min() <= -_INT_LIMIT:
             raise ValueError("a state needs integers of 2^40 or more")
+        if (popcount[masks] != w).any():
+            raise ValueError("a state spans several popcount sectors")
         configs = config[popcount == w]
         matrix = np.zeros((len(configs), len(in_sector)), dtype=np.int64)
         matrix[rank[masks], np.repeat(np.arange(len(in_sector)), lengths)] = values
         del masks, values
-        state_of = np.array([columns[c][0] for c in in_sector])  # sorted
         exchanges: dict[int, np.ndarray] = {}
         for slot, node in enumerate(nodes):
             below = [exchanges.pop(id(child)) for child in (node.left, node.right)
@@ -190,13 +145,10 @@ def verify_basis(tree: CouplingTree,
                     total += matrix[rank[configs ^ differ * (1 << (n - i) | 1 << (n - j))]]
             exchanges[id(node)] = total
             size = len(particles[id(node)])
-            spins = two_j[state_of, slot]
+            spins = two_j[in_sector, slot]
             residual = 4 * total + (3 * size - size * (size - 1) - spins * (spins + 2)) * matrix
-            for s in np.unique(state_of[residual.any(axis=0)]).tolist():
-                cols = range(*np.searchsorted(state_of, [s, s + 1]).tolist())
-                add((s, slot), Fraction(1, 16), [in_sector[c] for c in cols],
-                    [residual[:, c].tolist() for c in cols])
-    out = np.zeros((len(basis), len(nodes) + 1))
-    for (s, member), (exact, cross) in norm2.items():
-        out[s, member] = math.sqrt(max(float(exact) + cross, 0.0))
+            for c in np.flatnonzero(residual.any(axis=0)).tolist():
+                s = in_sector[c]
+                squares = sum(x * x for x in residual[:, c].tolist())
+                out[s, slot] = math.sqrt(integers[s][0] * squares / 16)
     return out

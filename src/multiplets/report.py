@@ -173,11 +173,12 @@ def run_verify(tree: CouplingTree, tol: float = 1e-12) -> dict:
 
     Each label is checked as an eigenstate of every internal-node Casimir
     and the total z projection, with eigenvalues read off the label, by
-    the exact integer check of ``operators.verify_basis``: the residual of
-    a correct state is exactly 0.0, so it passes at any tolerance,
-    ``tol = 0`` included. Returns a JSON-ready report with per-check
-    residuals; equal checks share one dict. The float path (``to_array``,
-    then ``verify_eigenstate`` per member) is the test oracle, in
+    the exact integer check of ``operators.verify_basis`` on the integer
+    form of each ``full_basis`` state: the residual of a correct state is
+    exactly 0.0, so it passes at any tolerance, ``tol = 0`` included.
+    Returns a JSON-ready report with per-check residuals; equal checks
+    share one dict. The float path (``to_array``, then
+    ``verify_eigenstate`` per member) is the test oracle, in
     tests/oracle_verify.py. At most MAX_VERIFY_QUBITS particles.
     """
     if tree.n > MAX_VERIFY_QUBITS:

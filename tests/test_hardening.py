@@ -10,7 +10,6 @@ import time
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,13 +22,9 @@ from multiplets.coupling import (
     Spin,
     SpinProjection,
     StateVector,
-    full_basis,
 )
 from multiplets.exactnum import SignedRadical
-from multiplets.operators import verify_basis
 from multiplets.statefile import StateFileError, parse_state_file
-
-import oracle_verify
 
 
 def _run_cli_error(capsys, argv) -> str:
@@ -271,22 +266,3 @@ class TestLabelText:
         assert Spin.of("3/2") == Spin.of("1.5") == Spin(3)
         assert Spin.of("1") == Spin.of(" 1 ") == Spin(2)
         assert SpinProjection.of("-1/2") == SpinProjection.of("-.5") == SpinProjection(-1)
-
-
-def test_large_prime_amplitude_in_verify_matches_the_oracle():
-    # sqrt(1/N) with N a product of two primes above 2^20, beside
-    # sqrt(1 - 1/N): no trial division up to 2^20 finds their squarefree
-    # kernels, but one isqrt shows that their ratio is no rational square.
-    tree = CouplingTree.parse("(1 2)")
-    basis = full_basis(tree)
-    label, _ = basis[1]  # S = 1, m = 0: ud and du
-    small = Fraction(1, (2**31 - 1) * (2**61 - 1))
-    amps = {0b10: SignedRadical(1, small), 0b01: SignedRadical(1, 1 - small)}
-    basis[1] = (label, StateVector.exact_state(2, amps))
-    start = time.perf_counter()
-    got = verify_basis(tree, basis)
-    assert time.perf_counter() - start < 1.0
-    want = np.array([[c["residual"] for c in row["checks"]]
-                     for row in oracle_verify.run_verify(tree, 1e-12, basis)["results"]])
-    assert want[1, 0] > 1
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)

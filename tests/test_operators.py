@@ -1,22 +1,17 @@
 import itertools
-import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from multiplets.coupling import (
     CoupledLabel,
     CouplingTree,
     Spin,
     SpinProjection,
-    StateVector,
     enumerate_multiplets,
     expand,
 )
-from multiplets.exactnum import SignedRadical
-from multiplets.operators import _columns, commuting_set, verify_eigenstate
+from multiplets.operators import commuting_set, verify_eigenstate
 from multiplets.registry import named_state
 
 from oracle_verify import ExchangeOperator
@@ -213,35 +208,3 @@ class TestJointEigenbasis:
                 np.max(np.abs(numeric + exact)),
             )
             assert delta <= 1e-10, (str(label), delta)
-
-
-KERNELS = (1, 2, 3, 6, 35)
-
-
-def _is_rational_square(value: Fraction) -> bool:
-    return all(math.isqrt(x) ** 2 == x for x in (value.numerator, value.denominator))
-
-
-class TestColumns:
-    @given(st.dictionaries(
-        st.integers(0, 15),
-        st.tuples(st.sampled_from(KERNELS), st.fractions(min_value=Fraction(1, 50),
-                                                         max_value=50, max_denominator=50),
-                  st.sampled_from([-1, 1])),
-        min_size=1, max_size=16))
-    def test_outside_state_splits_by_popcount_and_radical(self, entries):
-        # Amplitude sign * c * sqrt(kernel), normalized by one common radical.
-        norm = SignedRadical(1, 1 / sum(c * c * kernel for kernel, c, _ in entries.values()))
-        amps = {mask: SignedRadical(sign, c * c * kernel) * norm
-                for mask, (kernel, c, sign) in entries.items()}
-        columns = _columns(StateVector.exact_state(4, amps))
-        seen = {}
-        for weight, r, ints in columns:
-            for mask, k in ints.items():
-                assert mask.bit_count() == weight and mask not in seen
-                assert SignedRadical(1 if k > 0 else -1, r * k * k) == amps[mask]
-                seen[mask] = (weight, entries[mask][0])
-        assert seen.keys() == amps.keys()
-        assert len(columns) == len(set(seen.values()))
-        for (w1, r1, _), (w2, r2, _) in itertools.combinations(columns, 2):
-            assert w1 != w2 or not _is_rational_square(r1 / r2)

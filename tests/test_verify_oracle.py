@@ -5,9 +5,11 @@
 sequential and balanced n = 8 trees, ``run_verify`` must give the same
 labels, operator names and order, eigenvalues and ``pass`` flags, and a
 residual of exactly 0.0 wherever the oracle's is at most 1e-12. Mutated
-bases (a sign flip, an amplitude moved inside or out of its sector, and
-half of a state scaled by sqrt(2/3), then renormalized, which mixes
-kernels) must give the oracle's residuals to 1e-9 relative.
+bases (a sign flip or an integer moved inside its sector, built on the
+engine's integer form, and two states of one multiplet swapped, one
+popcount off their labels) must give the oracle's residuals to 1e-9
+relative, and exactly 1.0 for the swapped states' S_z. ``verify_basis``
+takes only expanded states.
 
 ``emit_json``, the package's only JSON writer, is checked against its own
 oracle, ``json.dumps(value, indent=2)``, byte for byte, on real reports
@@ -26,7 +28,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multiplets.coupling import CouplingTree, StateVector, all_coupling_trees, full_basis
-from multiplets.exactnum import SignedRadical
 from multiplets.operators import verify_basis
 from multiplets.report import emit_json, run_verify
 
@@ -57,43 +58,26 @@ def _popcount(config: int) -> int:
     return bin(config).count("1")
 
 
-def _flip_sign(rng, n, amps):
-    config = rng.choice(sorted(amps))
-    amps[config] = -amps[config]
-    return amps
+def _flip_sign(rng, n, ints):
+    config = rng.choice(sorted(ints))
+    ints[config] = -ints[config]
+    return ints
 
 
-def _move_inside(rng, n, amps):
-    """Swap one amplitude with another entry of its popcount sector (or
-    move it there), where that changes the state."""
-    config = rng.choice(sorted(amps))
+def _move_inside(rng, n, ints):
+    """Swap one integer with another entry of its popcount sector (or move
+    it there), where that changes the state."""
+    config = rng.choice(sorted(ints))
     others = [c for c in range(1 << n) if _popcount(c) == _popcount(config)
-              and c != config and amps.get(c) != amps[config]]
+              and c != config and ints.get(c) != ints[config]]
     if not others:
         return None
     other = rng.choice(others)
-    amps[config], amps[other] = amps.get(other), amps[config]
-    return {c: a for c, a in amps.items() if a is not None}
+    ints[config], ints[other] = ints.get(other), ints[config]
+    return {c: k for c, k in ints.items() if k is not None}
 
 
-def _move_outside(rng, n, amps):
-    config = rng.choice(sorted(amps))
-    free = [c for c in range(1 << n) if _popcount(c) != _popcount(config) and c not in amps]
-    amps[rng.choice(free)] = amps.pop(config)
-    return amps
-
-
-def _mix_kernels(rng, n, amps):
-    """Scale half of the entries by sqrt(2/3), then renormalize."""
-    scale = SignedRadical(1, Fraction(2, 3))
-    for config in sorted(amps)[::2]:
-        amps[config] = amps[config] * scale
-    norm = SignedRadical(1, 1 / sum(a.squared() for a in amps.values()))
-    return {c: a * norm for c, a in amps.items()}
-
-
-MUTATIONS = {"sign": _flip_sign, "inside": _move_inside, "outside": _move_outside,
-             "mixed": _mix_kernels}
+MUTATIONS = {"sign": _flip_sign, "inside": _move_inside, "outside": None}
 MUTATED_TREES = ["((1 2) 3)", "(((1 2) 3) (4 5))", "((1 2) ((3 4) (5 6)))",
                  "(((((1 2) 3) 4) 5) 6)"]
 
@@ -109,12 +93,20 @@ def test_mutated_residuals_match_the_oracle(spec, kind):
     basis = full_basis(tree)
     rng = random.Random(f"{spec}:{kind}")
     mutated = list(basis)
-    candidates = [s for s, (_, state) in enumerate(basis) if len(state.amplitudes) > 1]
-    for s in rng.sample(candidates, min(6, len(candidates))):
-        label, state = basis[s]
-        amps = MUTATIONS[kind](rng, tree.n, dict(state.amplitudes))
-        if amps is not None:
-            mutated[s] = (label, StateVector.exact_state(tree.n, amps))
+    if kind == "outside":
+        # m = S and m = S - 1 of one multiplet, swapped: each state is still
+        # a Casimir eigenvector, one popcount off its label.
+        (label0, state0), (label1, state1) = basis[:2]
+        assert label0.total_m.two_m - label1.total_m.two_m == 2
+        mutated[:2] = [(label0, state1), (label1, state0)]
+    else:
+        candidates = [s for s, (_, state) in enumerate(basis) if len(state.amplitudes) > 1]
+        for s in rng.sample(candidates, min(6, len(candidates))):
+            label, state = basis[s]
+            r, ints = state._integer
+            ints = MUTATIONS[kind](rng, tree.n, dict(ints))
+            if ints is not None:
+                mutated[s] = (label, StateVector._from_integers(tree.n, r, ints))
     got = verify_basis(tree, mutated)
     want = _residuals(oracle_verify.run_verify(tree, 1e-12, mutated))
     failing = want > 1e-12
@@ -122,28 +114,18 @@ def test_mutated_residuals_match_the_oracle(spec, kind):
     np.testing.assert_allclose(got[failing], want[failing], rtol=1e-9, atol=0)
     assert (got[~failing] == 0.0).all()
     if kind == "outside":
-        assert failing[:, -1].any()  # S_z sees the moved amplitude
-
-
-@pytest.mark.parametrize("spec", MUTATED_TREES)
-def test_outside_copies_verify_exactly(spec):
-    # The same states built through the validating constructor take the
-    # outside path: amplitudes grouped by rational-square ratios.
-    tree = CouplingTree.parse(spec)
-    basis = full_basis(tree)
-    copies = [(label, StateVector.exact_state(tree.n, state.amplitudes)) for label, state in basis]
-    assert all(state._integer is None for _, state in copies)
-    assert (verify_basis(tree, copies) == 0.0).all()
+        assert (got[:2, -1] == 1.0).all() and not failing[2:].any()
 
 
 def test_sign_flip_fails_the_report(monkeypatch):
     tree = CouplingTree.parse("((1 2) (3 4))")
     basis = full_basis(tree)
     label, state = basis[7]
-    amps = dict(state.amplitudes)
-    config = min(amps)
-    amps[config] = -amps[config]
-    basis[7] = (label, StateVector.exact_state(4, amps))
+    r, ints = state._integer
+    ints = dict(ints)
+    config = min(ints)
+    ints[config] = -ints[config]
+    basis[7] = (label, StateVector._from_integers(4, r, ints))
     monkeypatch.setattr("multiplets.report.full_basis", lambda _: basis)
     report = run_verify(tree, 1e-12)
     assert report["pass"] is False
@@ -152,34 +134,40 @@ def test_sign_flip_fails_the_report(monkeypatch):
     assert all(c["pass"] for row in report["results"][:7] for c in row["checks"])
 
 
-@pytest.mark.parametrize("shift", [82, 130])
-@pytest.mark.parametrize("small_first", [True, False], ids=["small_first", "large_first"])
-def test_integers_of_2_40_are_refused(small_first, shift):
-    tree = CouplingTree.parse("(1 2)")
+def test_states_from_outside_the_engine_are_refused():
+    tree = CouplingTree.parse("((1 2) 3)")
     basis = full_basis(tree)
-    label, _ = basis[1]  # S = 1, m = 0: ud and du
-    # rho and 2^shift rho differ by the square of 2^(shift / 2): one column,
-    # of integers 1 and 2^(shift / 2) when rho comes first, else of the
-    # denominator 2^(shift / 2). Past 2^63 the integers would overflow int64.
-    rho = Fraction(1, 1 + (1 << shift))
-    amps = [(0b10, SignedRadical(1, rho)), (0b01, SignedRadical(1, rho * (1 << shift)))]
-    basis[1] = (label, StateVector.exact_state(2, dict(amps if small_first else amps[::-1])))
-    with pytest.raises(ValueError, match="2\\^40"):
-        verify_basis(tree, basis)
+    label, state = basis[1]
+    copies = [StateVector.exact_state(3, state.amplitudes),
+              StateVector.from_array(state.to_array())]
+    for copy in copies:
+        basis[1] = (label, copy)
+        with pytest.raises(ValueError, match="expanded states of 3 particles"):
+            verify_basis(tree, basis)
 
 
-def test_denominators_of_irrational_ratios_stay_small():
+def test_a_state_across_two_sectors_is_refused():
     tree = CouplingTree.parse("(1 2)")
     basis = full_basis(tree)
     label, _ = basis[1]
-    # sqrt(2^-81) and sqrt(1 - 2^-81) differ by an irrational factor: two
-    # columns of one integer each, where a squarefree split needs 2^41.
-    small = Fraction(1, 1 << 81)
-    amps = {0b10: SignedRadical(1, small), 0b01: SignedRadical(1, 1 - small)}
-    basis[1] = (label, StateVector.exact_state(2, amps))
-    want = _residuals(oracle_verify.run_verify(tree, 1e-12, basis))
-    assert want[1, 0] > 1
-    np.testing.assert_allclose(verify_basis(tree, basis), want, rtol=1e-9, atol=1e-12)
+    basis[1] = (label, StateVector._from_integers(2, Fraction(1, 2), {0b10: 1, 0b11: 1}))
+    with pytest.raises(ValueError, match="several popcount sectors"):
+        verify_basis(tree, basis)
+
+
+@pytest.mark.parametrize("big", [1 << 41, 1 << 65, -(1 << 63)], ids=["2^41", "2^65", "-2^63"])
+@pytest.mark.parametrize("big_first", [False, True], ids=["small_first", "big_first"])
+def test_integers_of_2_40_are_refused(big_first, big):
+    # Past 2^63 an integer does not fit int64; -2^63 does, but has no
+    # int64 absolute value.
+    tree = CouplingTree.parse("(1 2)")
+    basis = full_basis(tree)
+    label, _ = basis[1]  # S = 1, m = 0: ud and du
+    ints = [(0b10, 1), (0b01, big)]
+    ints = dict(ints[::-1] if big_first else ints)
+    basis[1] = (label, StateVector._from_integers(2, Fraction(1, 1 + big * big), ints))
+    with pytest.raises(ValueError, match="2\\^40"):
+        verify_basis(tree, basis)
 
 
 def _dumps(value) -> bytes:
