@@ -8,8 +8,11 @@ residual of exactly 0.0 wherever the oracle's is at most 1e-12. Mutated
 bases (a sign flip or an integer moved inside its sector, built on the
 engine's integer form, and two states of one multiplet swapped, one
 popcount off their labels) must give the oracle's residuals to 1e-9
-relative, and exactly 1.0 for the swapped states' S_z. ``verify_basis``
-takes only expanded states.
+relative, and exactly 1.0 for the swapped states' S_z. A state scaled
+in half of its integers and renormalized carries a new radicand; one of
+radicand 1 + (2^39 - 1)^2 is read without factoring. Reversing the
+states of one multiplet gives S_z residuals of exactly |delta m|.
+``verify_basis`` takes only expanded states.
 
 ``emit_json``, the package's only JSON writer, is checked against its own
 oracle, ``json.dumps(value, indent=2)``, byte for byte, on real reports
@@ -77,7 +80,16 @@ def _move_inside(rng, n, ints):
     return {c: k for c, k in ints.items() if k is not None}
 
 
-MUTATIONS = {"sign": _flip_sign, "inside": _move_inside, "outside": None}
+def _scale_half(rng, n, ints):
+    """Double every other integer, then divide by the common factor: the
+    state is renormalized with a new radicand."""
+    ints = {c: 2 * k if i % 2 == 0 else k for i, (c, k) in enumerate(sorted(ints.items()))}
+    common = math.gcd(*ints.values())
+    return {c: k // common for c, k in ints.items()}
+
+
+MUTATIONS = {"sign": _flip_sign, "inside": _move_inside, "outside": None,
+             "scaled": _scale_half}
 MUTATED_TREES = ["((1 2) 3)", "(((1 2) 3) (4 5))", "((1 2) ((3 4) (5 6)))",
                  "(((((1 2) 3) 4) 5) 6)"]
 
@@ -103,9 +115,9 @@ def test_mutated_residuals_match_the_oracle(spec, kind):
         candidates = [s for s, (_, state) in enumerate(basis) if len(state.amplitudes) > 1]
         for s in rng.sample(candidates, min(6, len(candidates))):
             label, state = basis[s]
-            r, ints = state._integer
-            ints = MUTATIONS[kind](rng, tree.n, dict(ints))
+            ints = MUTATIONS[kind](rng, tree.n, dict(state._integer[1]))
             if ints is not None:
+                r = Fraction(1, sum(k * k for k in ints.values()))
                 mutated[s] = (label, StateVector._from_integers(tree.n, r, ints))
     got = verify_basis(tree, mutated)
     want = _residuals(oracle_verify.run_verify(tree, 1e-12, mutated))
@@ -115,6 +127,41 @@ def test_mutated_residuals_match_the_oracle(spec, kind):
     assert (got[~failing] == 0.0).all()
     if kind == "outside":
         assert (got[:2, -1] == 1.0).all() and not failing[2:].any()
+
+
+@pytest.mark.parametrize("spec", MUTATED_TREES)
+def test_sz_residual_is_the_m_offset(spec):
+    # The states of the first multiplet in reverse order: each is still a
+    # Casimir eigenvector, |delta m| off its label's sector.
+    tree = CouplingTree.parse(spec)
+    basis = full_basis(tree)
+    group = [s for s, (label, _) in enumerate(basis)
+             if label.intermediates == basis[0][0].intermediates]
+    assert len(group) == tree.n + 1
+    mutated = list(basis)
+    for s, t in zip(group, group[::-1]):
+        mutated[s] = (basis[s][0], basis[t][1])
+    got = verify_basis(tree, mutated)
+    offsets = [abs(basis[s][0].total_m.two_m - basis[t][0].total_m.two_m) / 2
+               for s, t in zip(group, group[::-1])]
+    assert got[group, -1].tolist() == offsets and max(offsets) == tree.n
+    assert (np.delete(got, group, axis=0) == 0.0).all() and (got[:, :-1] == 0.0).all()
+    want = _residuals(oracle_verify.run_verify(tree, 1e-12, mutated))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_large_radicand_in_verify_matches_the_oracle():
+    # sqrt(r) * (1, k) with k = 2^39 - 1, just under the integer limit:
+    # r = 1 / (1 + k^2) is taken as it is, nothing is factored.
+    tree = CouplingTree.parse("(1 2)")
+    basis = full_basis(tree)
+    label, _ = basis[1]  # S = 1, m = 0: ud and du
+    k = (1 << 39) - 1
+    basis[1] = (label, StateVector._from_integers(2, Fraction(1, 1 + k * k), {0b10: 1, 0b01: k}))
+    got = verify_basis(tree, basis)
+    want = _residuals(oracle_verify.run_verify(tree, 1e-12, basis))
+    assert want[1, 0] > 1
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_sign_flip_fails_the_report(monkeypatch):
