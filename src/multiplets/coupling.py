@@ -17,9 +17,9 @@ target's (S, m) sector in ``recouple``. The price is memory, since
 Each coupled state, of a subtree or of the tree, is the only common
 eigenvector of integer Casimirs, so it is sqrt(r) times a vector of
 coprime integers: the one form that expansions make, (r, {bitmask: k}).
-An expanded ``StateVector`` keeps it; ``to_array``, the table rows and
-``verify`` read it, and its ``amplitudes`` are built on first use. The
-CG cache is the only cache that outlives a call.
+An expanded ``StateVector`` holds it as ``IntegerAmplitudes``, whose
+integers ``to_array``, the table rows and ``verify`` read. The CG cache
+is the only cache that outlives a call.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "CouplingTree",
     "all_coupling_trees",
     "CoupledLabel",
+    "IntegerAmplitudes",
     "StateVector",
     "dense_index",
     "config_to_string",
@@ -498,6 +500,35 @@ def _radical(r: Fraction, k: int) -> SignedRadical:
     return SignedRadical(1 if k > 0 else -1, r * (k * k))
 
 
+class IntegerAmplitudes(Mapping):
+    """Read-only mapping from mask to ``SignedRadical`` over the engine's
+    form sqrt(radicand) * ints[mask], the ints nonzero and coprime. ``len``,
+    iteration and ``in`` build nothing; a read builds each distinct k once."""
+
+    __slots__ = ("radicand", "ints", "_values")
+
+    def __init__(self, radicand: Fraction, ints: dict[int, int]) -> None:
+        self.radicand, self.ints, self._values = radicand, ints, {}
+
+    def __getitem__(self, mask: int) -> SignedRadical:
+        k = self.ints[mask]
+        if k not in self._values:
+            self._values[k] = _radical(self.radicand, k)
+        return self._values[k]
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ints)
+
+    def __contains__(self, mask: object) -> bool:
+        return mask in self.ints
+
+    def __repr__(self) -> str:
+        return f"IntegerAmplitudes({self.radicand!r}, {self.ints!r})"
+
+
 # Most particles a state may have as a dense array: 2**24 complex values
 # take 256 MB. ``StateVector.to_array`` refuses larger states before it
 # allocates anything.
@@ -516,78 +547,39 @@ class StateVector:
     n: int
     amplitudes: Mapping[int, object]
     exact: bool
-    # (r, {mask: k}) for a state of the expansion engine, whose amplitude
-    # at mask is sqrt(r) * k with coprime integers k; None for any other.
-    _integer = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("a state needs at least one particle")
         if not self.amplitudes:
             raise ValueError("a state needs at least one amplitude")
-        dim = 1 << self.n
-        cleaned: dict[int, object] = {}
-        if self.exact:
-            norm2 = Fraction(0)
-            for config, amp in self.amplitudes.items():
-                self._check_config(config, dim)
-                if not isinstance(amp, SignedRadical):
-                    raise TypeError("exact amplitudes must be SignedRadical")
-                if amp.sign == 0:
-                    continue
-                cleaned[config] = amp
-                norm2 += amp.squared()
-            if norm2 != 1:
-                raise ValueError(f"exact state has norm^2 = {norm2}, expected 1")
+        dim, amps = 1 << self.n, self.amplitudes
+        if self.exact and isinstance(amps, IntegerAmplitudes):
+            norm2 = amps.radicand * sum(k * k for k in amps.ints.values())
+            if min(amps.ints) < 0 or max(amps.ints) >= dim:
+                raise ValueError(f"configuration out of range for {self.n} particles")
         else:
-            norm2 = 0.0
-            for config, amp in self.amplitudes.items():
-                self._check_config(config, dim)
-                value = complex(amp)
-                if value == 0:
-                    continue
-                cleaned[config] = value
-                norm2 += abs(value) ** 2
-            if abs(norm2 - 1.0) > _NORM_TOL:
-                raise ValueError(f"numeric state has norm^2 = {norm2!r}, expected 1")
-        object.__setattr__(self, "amplitudes", cleaned)
-
-    @staticmethod
-    def _check_config(config: int, dim: int) -> None:
-        if not isinstance(config, int) or not 0 <= config < dim:
-            raise ValueError(f"configuration {config!r} out of range")
+            cleaned: dict[int, object] = {}
+            norm2 = Fraction(0) if self.exact else 0.0
+            for config, amp in amps.items():
+                if not isinstance(config, int) or not 0 <= config < dim:
+                    raise ValueError(f"configuration {config!r} out of range")
+                if not self.exact:
+                    amp = complex(amp)
+                elif not isinstance(amp, SignedRadical):
+                    raise TypeError("exact amplitudes must be SignedRadical")
+                if amp:
+                    cleaned[config] = amp
+                    norm2 += amp.squared() if self.exact else abs(amp) ** 2
+            object.__setattr__(self, "amplitudes", cleaned)
+        if self.exact and norm2 != 1:
+            raise ValueError(f"exact state has norm^2 = {norm2}, expected 1")
+        if not self.exact and abs(norm2 - 1.0) > _NORM_TOL:
+            raise ValueError(f"numeric state has norm^2 = {norm2!r}, expected 1")
 
     @classmethod
     def exact_state(cls, n: int, amplitudes: Mapping[int, SignedRadical]) -> "StateVector":
         return cls(n, dict(amplitudes), exact=True)
-
-    @classmethod
-    def _from_integers(cls, n: int, r: Fraction, ints: Mapping[int, int]) -> "StateVector":
-        """Exact state with amplitude sqrt(r) * ints[mask] at each mask: the
-        trusted path of the expansion engine, whose integers are nonzero.
-        It checks the constructor's norm identity as r * sum(k^2) = 1, and
-        that the masks are in range; ``amplitudes`` is built on first use."""
-        norm2 = r * sum(k * k for k in ints.values())
-        if norm2 != 1:
-            raise ValueError(f"exact state has norm^2 = {norm2}, expected 1")
-        if min(ints) < 0 or max(ints) >= 1 << n:
-            raise ValueError(f"configuration out of range for {n} particles")
-        state = object.__new__(cls)
-        object.__setattr__(state, "n", n)
-        object.__setattr__(state, "exact", True)
-        object.__setattr__(state, "_integer", (r, ints))
-        return state
-
-    def __getattr__(self, name: str):
-        # Reached only for attributes missing from the instance: the
-        # amplitudes of an engine-built state, until they are first read.
-        if name != "amplitudes" or self._integer is None:
-            raise AttributeError(name)
-        r, ints = self._integer
-        amplitudes = dict(zip(ints, map(functools.cache(functools.partial(_radical, r)),
-                                        ints.values())))
-        object.__setattr__(self, "amplitudes", amplitudes)
-        return amplitudes
 
     @classmethod
     def numeric_state(cls, n: int, amplitudes: Mapping[int, complex]) -> "StateVector":
@@ -625,11 +617,11 @@ class StateVector:
                 f"at most {MAX_DENSE_QUBITS} particles are supported"
             )
         # Each cache lives for this call only.
-        if self._integer is not None:
-            r, amps = self._integer
+        amps = self.amplitudes
+        if isinstance(amps, IntegerAmplitudes):
+            r, amps = amps.radicand, amps.ints
             value = functools.cache(lambda k: _radical(r, k).to_float())
         else:
-            amps = self.amplitudes
             value = functools.cache(SignedRadical.to_float) if self.exact else complex
         count = len(amps)
         arr = np.zeros(1 << self.n, dtype=complex)
@@ -753,7 +745,7 @@ def _expansion(label: CoupledLabel, memo: dict[tuple, tuple]) -> StateVector:
     n = len(postorder[0])
     spins = (1,) * n + tuple(spin.two_j for spin in label.intermediates)
     p, q, ints = _expand_node(len(spins) - 1, postorder, spins, label.total_m.two_m, memo)
-    return StateVector._from_integers(n, Fraction(p, q), ints)
+    return StateVector(n, IntegerAmplitudes(Fraction(p, q), ints), True)
 
 
 def expand(label: CoupledLabel) -> StateVector:

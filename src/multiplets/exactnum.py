@@ -128,10 +128,15 @@ class SignedRadical:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SignedRadical":
+        """Inverse of ``to_json_dict``: the keys are exactly sign, num and den,
+        sign is a JSON integer in {-1, 0, 1}, and num and den are ASCII digits."""
+        sign, num, den = data.get("sign"), data.get("num"), data.get("den")
+        if (set(data) != {"sign", "num", "den"} or type(sign) is not int or sign not in (-1, 0, 1)
+                or not all(type(s) is str and s.isascii() and s.isdigit() for s in (num, den))):
+            raise ValueError(f"malformed radical {data!r}")
         try:
-            sign = int(data["sign"])
-            radicand = Fraction(int(data["num"]), int(data["den"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            radicand = Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed radical {data!r}") from exc
         return cls(sign, radicand)
 

@@ -10,11 +10,12 @@ set A is 3|A|/4 - |A|(|A| - 1)/4 + (the sum over i < j in A of P_ij), and
 S_z is the diagonal popcount(config) - n/2.
 
 ``verify_basis`` checks a whole basis of expanded states exactly. Each
-state is one integer column of its popcount sector, the expansion
-engine's form sqrt(r) times coprime integers; it takes no other state.
-Four times a Casimir minus its eigenvalue maps integer columns to integer
-columns, so every (Casimir, sector) is one integer product shared by all
-the sector's states, and a correct state gives exactly zero.
+state is one integer column of its popcount sector: the expansion
+engine's form sqrt(r) times coprime integers, ``IntegerAmplitudes``; it
+takes no other state. Four times a Casimir minus its eigenvalue maps
+integer columns to integer columns, so every (Casimir, sector) is one
+integer product shared by all the sector's states, and a correct state
+gives exactly zero.
 
 The float form of the same operators, which applies P_ij as a bit swap
 on dense vectors, is the test oracle of ``verify_basis``
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import CoupledLabel, CouplingTree, StateVector
+from .coupling import CoupledLabel, CouplingTree, IntegerAmplitudes, StateVector
 
 __all__ = ["verify_eigenstate", "LabeledOperator", "commuting_set", "verify_basis"]
 
@@ -86,7 +87,7 @@ def verify_basis(tree: CouplingTree,
     ``commuting_set(tree)``, as a (states, members) float array.
 
     Every state must be an expanded one, sqrt(r) times coprime integers
-    (its ``_integer`` form), with all its masks in one popcount sector.
+    (``IntegerAmplitudes``), with all its masks in one popcount sector.
     A residual is ||(op - eigenvalue) psi||, with the eigenvalue read off
     the state's label. It is exactly 0.0 for an eigenvector. S_z is checked
     too: a state outside its label's popcount sector has norm 1, so its
@@ -101,7 +102,8 @@ def verify_basis(tree: CouplingTree,
     2^40 or more.
     """
     n = tree.n
-    if any(state.n != n or state._integer is None for _, state in basis):
+    if any(state.n != n or not isinstance(state.amplitudes, IntegerAmplitudes)
+           for _, state in basis):
         raise ValueError(f"verification needs expanded states of {n} particles")
     nodes = tree.internal_nodes()
     particles = {id(node): tree.node_particles(node) for node in nodes + tree.leaves()}
@@ -110,7 +112,7 @@ def verify_basis(tree: CouplingTree,
     rank = np.empty(1 << n, dtype=np.intp)
     for w in range(n + 1):
         rank[popcount == w] = np.arange(math.comb(n, w))
-    integers = [state._integer for _, state in basis]
+    integers = [(state.amplitudes.radicand, state.amplitudes.ints) for _, state in basis]
     weights = [next(iter(ints)).bit_count() for _, ints in integers]
     two_j = np.array([[spin.two_j for spin in label.intermediates] for label, _ in basis])
     out = np.zeros((len(basis), len(nodes) + 1))

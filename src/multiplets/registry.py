@@ -1,8 +1,9 @@
 """Registry of named states used throughout the verification suites.
 
-Every entry is exact. Coupled-basis members are built by expanding the
-corresponding multiplet label so the registry can never drift from the
-coupling engine; the GHZ states are direct superpositions.
+Every entry is exact, in the expansion engine's integer form. Coupled-basis
+members are built by expanding the corresponding multiplet label so the
+registry can never drift from the coupling engine; the GHZ states are
+direct superpositions, sqrt(1/2) times the integers 1 and 1.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from typing import Callable
 from .coupling import (
     CoupledLabel,
     CouplingTree,
+    IntegerAmplitudes,
     Spin,
     SpinProjection,
     StateVector,
-    config_from_string,
     expand,
 )
-from .exactnum import SignedRadical
 
 __all__ = ["named_state", "available_states", "NAMED_STATE_BUILDERS"]
 
@@ -41,10 +41,8 @@ def coupled_state(tree_spec: str, intermediates: tuple, m) -> StateVector:
 
 
 def _ghz(n: int) -> StateVector:
-    amp = SignedRadical.sqrt(Fraction(1, 2))
-    return StateVector.exact_state(
-        n, {config_from_string("u" * n): amp, config_from_string("d" * n): amp}
-    )
+    # All up, then all down.
+    return StateVector(n, IntegerAmplitudes(Fraction(1, 2), {(1 << n) - 1: 1, 0: 1}), True)
 
 
 NAMED_STATE_BUILDERS: dict[str, Callable[[], StateVector]] = {

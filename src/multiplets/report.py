@@ -127,7 +127,7 @@ def _format_rows(pairs, n: int, fmt: str, what: str, eq: str) -> list:
     kets = functools.cache(functools.partial(ket_fn, n=n))
     rows = []
     for label, state in pairs:
-        r, ints = state._integer
+        r, ints = state.amplitudes.radicand, state.amplitudes.ints
         amp = amps(r)
         terms = [(kets(config), amp(k)) for config, k in sorted(ints.items(), reverse=True)]
         rows.append(row_fn(label, terms, eq))

@@ -26,11 +26,9 @@ class StateFileError(ValueError):
 
 
 def parse_state_file(data: bytes | str) -> StateVector:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError) as exc:  # ValueError: also the integer digit limit
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8 and the digit limit
         raise StateFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError("state file must be a JSON object")

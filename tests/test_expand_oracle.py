@@ -2,12 +2,13 @@
 
 ``multiplets.coupling`` expands each subtree into (r, {mask: k}), the
 amplitude at mask being sqrt(r) * k with coprime integers k, and builds
-each state through one trusted constructor. It must give exactly the
-states that the engine on ``SignedRadical`` objects gives,
-``tests/oracle_expand.py``: the same configurations with equal values.
-The integer form must hold on every state, ``to_array`` must give the
-float of each amplitude bit for bit, and the trusted constructor must
-keep the checks of ``StateVector``.
+each state as ``StateVector(n, IntegerAmplitudes(r, ints), True)``. It
+must give exactly the states that the engine on ``SignedRadical`` objects
+gives, ``tests/oracle_expand.py``: the same configurations with equal
+values. The integer form must hold on every state, ``to_array`` must give
+the float of each amplitude bit for bit, ``IntegerAmplitudes`` must build
+each radical only when it is read, and ``StateVector`` must check the
+norm and range of the integer form as it checks any other amplitudes.
 """
 
 import math
@@ -20,6 +21,7 @@ import pytest
 from multiplets import coupling
 from multiplets.coupling import (
     CouplingTree,
+    IntegerAmplitudes,
     StateVector,
     all_coupling_trees,
     dense_index,
@@ -28,6 +30,7 @@ from multiplets.coupling import (
     full_basis,
 )
 from multiplets.exactnum import SignedRadical
+from multiplets.registry import named_state
 
 import oracle_expand
 from test_recouple_oracle import _balanced, _sequential
@@ -81,7 +84,7 @@ class TestIntegerForm:
     @pytest.mark.parametrize("tree", SMALL_TREES + EIGHT_QUBIT_TREES, ids=str)
     def test_states_are_a_radical_times_coprime_integers(self, tree):
         for label, state in full_basis(tree):
-            r, ints = state._integer
+            r, ints = state.amplitudes.radicand, state.amplitudes.ints
             assert type(r) is Fraction and r > 0
             assert all(type(k) is int and k != 0 for k in ints.values())
             assert math.gcd(*ints.values()) == 1
@@ -101,10 +104,17 @@ class TestIntegerForm:
 
     def test_amplitudes_are_built_on_first_use(self):
         state = expand(enumerate_multiplets(_sequential(4))[5])
-        assert "amplitudes" not in vars(state)
         amplitudes = state.amplitudes
-        assert vars(state)["amplitudes"] is amplitudes is state.amplitudes
-        r, ints = state._integer
+        assert isinstance(amplitudes, IntegerAmplitudes)
+        r, ints = amplitudes.radicand, amplitudes.ints
+        assert len(set(ints.values())) < len(ints) == len(amplitudes)
+        assert list(amplitudes) == list(ints)
+        assert all(mask in amplitudes for mask in ints) and -1 not in amplitudes
+        assert amplitudes._values == {}
+        first = {mask: amplitudes[mask] for mask in ints}
+        assert amplitudes._values.keys() == set(ints.values())
+        assert all(first[mask] is amplitudes._values[k] for mask, k in ints.items())
+        assert all(amplitudes[mask] is first[mask] for mask in ints)
         assert amplitudes == {mask: SignedRadical(1 if k > 0 else -1, r * k * k)
                               for mask, k in ints.items()}
 
@@ -120,21 +130,42 @@ class TestIntegerForm:
             expand(label)
 
 
+def _engine_state(n, r, ints):
+    return StateVector(n, IntegerAmplitudes(r, ints), True)
+
+
 class TestTrustedConstructor:
+    """``StateVector`` on ``IntegerAmplitudes``: the engine's one path."""
+
     def test_checks_the_norm(self):
         half = Fraction(1, 2)
-        state = StateVector._from_integers(2, half, {0: 1, 3: -1})
+        state = _engine_state(2, half, {0: 1, 3: -1})
         assert state.amplitudes == {0: SignedRadical(1, half), 3: SignedRadical(-1, half)}
-        with pytest.raises(ValueError, match="norm"):
-            StateVector._from_integers(2, half, {0: 1, 1: 1, 3: 1})
-        with pytest.raises(ValueError, match="norm"):
-            StateVector._from_integers(2, Fraction(1, 8), {0: 2, 3: 1})
+        with pytest.raises(ValueError, match="norm\\^2 = 3/2, expected 1"):
+            _engine_state(2, half, {0: 1, 1: 1, 3: 1})
+        with pytest.raises(ValueError, match="norm\\^2 = 5/8, expected 1"):
+            _engine_state(2, Fraction(1, 8), {0: 2, 3: 1})
 
     def test_checks_the_configurations(self):
-        with pytest.raises(ValueError, match="out of range"):
-            StateVector._from_integers(1, Fraction(1), {2: 1})
-        with pytest.raises(ValueError, match="out of range"):
-            StateVector._from_integers(1, Fraction(1), {-1: 1})
+        with pytest.raises(ValueError, match="configuration out of range for 1 particles"):
+            _engine_state(1, Fraction(1), {2: 1})
+        with pytest.raises(ValueError, match="configuration out of range for 1 particles"):
+            _engine_state(1, Fraction(1), {-1: 1})
+
+    def test_keeps_the_integer_form(self):
+        amplitudes = IntegerAmplitudes(Fraction(1, 2), {3: 1, 0: -1})
+        state = _engine_state(2, Fraction(1, 2), amplitudes.ints)
+        assert StateVector(2, amplitudes, True).amplitudes is amplitudes
+        assert state == StateVector.exact_state(2, state.amplitudes)
+        assert repr(amplitudes) == "IntegerAmplitudes(Fraction(1, 2), {3: 1, 0: -1})"
+
+    def test_ghz_is_the_integer_form_of_the_old_build(self):
+        ghz = named_state("ghz3")
+        amp = SignedRadical.sqrt(Fraction(1, 2))
+        old = StateVector.exact_state(3, {0b111: amp, 0b000: amp})
+        assert isinstance(ghz.amplitudes, IntegerAmplitudes)
+        assert ghz == old and ghz.amplitudes == old.amplitudes
+        assert ghz.to_array().tobytes() == old.to_array().tobytes()
 
     def test_outside_values_keep_full_validation(self):
         with pytest.raises(ValueError, match="norm"):

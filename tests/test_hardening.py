@@ -102,6 +102,34 @@ class TestStateFileHardening:
         with pytest.raises(StateFileError, match="n must be a JSON integer"):
             parse_state_file(json.dumps(doc))
 
+    # Each radical would be read as a valid sqrt(1) amplitude if its fields
+    # were rounded or trimmed; only the exact schema of ``to_json_dict`` is read.
+    @pytest.mark.parametrize("amp", [
+        pytest.param({"sign": 1.9, "num": "1", "den": "1"}, id="float-sign"),
+        pytest.param({"sign": True, "num": "1", "den": "1"}, id="bool-sign"),
+        pytest.param({"sign": "1", "num": "1", "den": "1"}, id="string-sign"),
+        pytest.param({"sign": 1, "num": 1.5, "den": "1"}, id="float-num"),
+        pytest.param({"sign": 1, "num": 1, "den": "1"}, id="int-num"),
+        pytest.param({"sign": 1, "num": "1", "den": 1}, id="int-den"),
+        pytest.param({"sign": 1, "num": " 1", "den": "1"}, id="space"),
+        pytest.param({"sign": 1, "num": "1_0", "den": "10"}, id="underscore"),
+        pytest.param({"sign": 1, "num": "1", "den": "+1"}, id="plus"),
+        pytest.param({"sign": 1, "num": "١", "den": "1"}, id="non-ascii-digit"),
+        pytest.param({"sign": 1, "num": "1", "den": "1", "note": 0}, id="extra-key"),
+    ])
+    def test_radical_must_match_the_schema(self, tmp_path, capsys, amp):
+        doc = {"n": 1, "flavor": "exact", "amplitudes": [{"config": "u", "amp": amp}]}
+        assert "malformed radical" in _measure_file(tmp_path, capsys, doc)
+        with pytest.raises(StateFileError, match="malformed radical"):
+            parse_state_file(json.dumps(doc))
+
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys):
+        with pytest.raises(StateFileError, match="not valid JSON"):
+            parse_state_file(b"\xff")
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xff")
+        _run_cli_error(capsys, ["measure", "--file", str(path)])
+
 
 _scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),

@@ -30,7 +30,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multiplets.coupling import CouplingTree, StateVector, all_coupling_trees, full_basis
+from multiplets.coupling import (
+    CouplingTree,
+    IntegerAmplitudes,
+    StateVector,
+    all_coupling_trees,
+    full_basis,
+)
 from multiplets.operators import verify_basis
 from multiplets.report import emit_json, run_verify
 
@@ -115,10 +121,10 @@ def test_mutated_residuals_match_the_oracle(spec, kind):
         candidates = [s for s, (_, state) in enumerate(basis) if len(state.amplitudes) > 1]
         for s in rng.sample(candidates, min(6, len(candidates))):
             label, state = basis[s]
-            ints = MUTATIONS[kind](rng, tree.n, dict(state._integer[1]))
+            ints = MUTATIONS[kind](rng, tree.n, dict(state.amplitudes.ints))
             if ints is not None:
                 r = Fraction(1, sum(k * k for k in ints.values()))
-                mutated[s] = (label, StateVector._from_integers(tree.n, r, ints))
+                mutated[s] = (label, StateVector(tree.n, IntegerAmplitudes(r, ints), True))
     got = verify_basis(tree, mutated)
     want = _residuals(oracle_verify.run_verify(tree, 1e-12, mutated))
     failing = want > 1e-12
@@ -157,7 +163,8 @@ def test_large_radicand_in_verify_matches_the_oracle():
     basis = full_basis(tree)
     label, _ = basis[1]  # S = 1, m = 0: ud and du
     k = (1 << 39) - 1
-    basis[1] = (label, StateVector._from_integers(2, Fraction(1, 1 + k * k), {0b10: 1, 0b01: k}))
+    ints = IntegerAmplitudes(Fraction(1, 1 + k * k), {0b10: 1, 0b01: k})
+    basis[1] = (label, StateVector(2, ints, True))
     got = verify_basis(tree, basis)
     want = _residuals(oracle_verify.run_verify(tree, 1e-12, basis))
     assert want[1, 0] > 1
@@ -168,11 +175,11 @@ def test_sign_flip_fails_the_report(monkeypatch):
     tree = CouplingTree.parse("((1 2) (3 4))")
     basis = full_basis(tree)
     label, state = basis[7]
-    r, ints = state._integer
+    r, ints = state.amplitudes.radicand, state.amplitudes.ints
     ints = dict(ints)
     config = min(ints)
     ints[config] = -ints[config]
-    basis[7] = (label, StateVector._from_integers(4, r, ints))
+    basis[7] = (label, StateVector(4, IntegerAmplitudes(r, ints), True))
     monkeypatch.setattr("multiplets.report.full_basis", lambda _: basis)
     report = run_verify(tree, 1e-12)
     assert report["pass"] is False
@@ -197,7 +204,7 @@ def test_a_state_across_two_sectors_is_refused():
     tree = CouplingTree.parse("(1 2)")
     basis = full_basis(tree)
     label, _ = basis[1]
-    basis[1] = (label, StateVector._from_integers(2, Fraction(1, 2), {0b10: 1, 0b11: 1}))
+    basis[1] = (label, StateVector(2, IntegerAmplitudes(Fraction(1, 2), {0b10: 1, 0b11: 1}), True))
     with pytest.raises(ValueError, match="several popcount sectors"):
         verify_basis(tree, basis)
 
@@ -212,7 +219,7 @@ def test_integers_of_2_40_are_refused(big_first, big):
     label, _ = basis[1]  # S = 1, m = 0: ud and du
     ints = [(0b10, 1), (0b01, big)]
     ints = dict(ints[::-1] if big_first else ints)
-    basis[1] = (label, StateVector._from_integers(2, Fraction(1, 1 + big * big), ints))
+    basis[1] = (label, StateVector(2, IntegerAmplitudes(Fraction(1, 1 + big * big), ints), True))
     with pytest.raises(ValueError, match="2\\^40"):
         verify_basis(tree, basis)
 
