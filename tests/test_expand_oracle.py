@@ -102,7 +102,10 @@ class TestIntegerForm:
                 want[dense_index(config, tree.n)] = amp.to_float()
             assert np.array_equal(dense, want)
 
-    def test_amplitudes_are_built_on_first_use(self):
+    def test_amplitudes_are_built_on_first_use(self, monkeypatch):
+        built = []
+        radical = coupling._radical
+        monkeypatch.setattr(coupling, "_radical", lambda r, k: built.append(k) or radical(r, k))
         state = expand(enumerate_multiplets(_sequential(4))[5])
         amplitudes = state.amplitudes
         assert isinstance(amplitudes, IntegerAmplitudes)
@@ -110,11 +113,13 @@ class TestIntegerForm:
         assert len(set(ints.values())) < len(ints) == len(amplitudes)
         assert list(amplitudes) == list(ints)
         assert all(mask in amplitudes for mask in ints) and -1 not in amplitudes
-        assert amplitudes._values == {}
+        assert amplitudes._values == {} and built == []
         first = {mask: amplitudes[mask] for mask in ints}
+        assert sorted(built) == sorted(set(ints.values()))
         assert amplitudes._values.keys() == set(ints.values())
         assert all(first[mask] is amplitudes._values[k] for mask, k in ints.items())
         assert all(amplitudes[mask] is first[mask] for mask in ints)
+        assert len(built) == len(set(ints.values()))
         assert amplitudes == {mask: SignedRadical(1 if k > 0 else -1, r * k * k)
                               for mask, k in ints.items()}
 
