@@ -77,6 +77,12 @@ def _two_of(value) -> int:
     return int(doubled)
 
 
+def _half_text(two: int) -> str:
+    """The doubled value ``two`` halved, as ``str(Fraction(two, 2))`` writes
+    it ("1", "-3/2"), without building a ``Fraction``."""
+    return f"{two}/2" if two % 2 else str(two // 2)
+
+
 @dataclass(frozen=True, order=True)
 class Spin:
     """A spin quantum number j, stored as two_j = 2j."""
@@ -100,7 +106,7 @@ class Spin:
         return Fraction(self.two_j * (self.two_j + 2), 4)
 
     def __str__(self) -> str:
-        return str(self.j)
+        return _half_text(self.two_j)
 
 
 @dataclass(frozen=True, order=True)
@@ -118,7 +124,7 @@ class SpinProjection:
         return Fraction(self.two_m, 2)
 
     def __str__(self) -> str:
-        return str(self.m)
+        return _half_text(self.two_m)
 
 
 HALF = Spin(1)
@@ -551,10 +557,13 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("a state needs at least one particle")
-        if not self.amplitudes:
+        amps = self.amplitudes
+        # An engine state is tested through its ints: no Python-level __len__.
+        integer = isinstance(amps, IntegerAmplitudes)
+        if not (amps.ints if integer else amps):
             raise ValueError("a state needs at least one amplitude")
-        dim, amps = 1 << self.n, self.amplitudes
-        if self.exact and isinstance(amps, IntegerAmplitudes):
+        dim = 1 << self.n
+        if self.exact and integer:
             norm2 = amps.radicand * sum(k * k for k in amps.ints.values())
             if min(amps.ints) < 0 or max(amps.ints) >= dim:
                 raise ValueError(f"configuration out of range for {self.n} particles")

@@ -4,19 +4,29 @@ Tables come in three formats: plain text, JSON and a LaTeX eqnarray that
 mirrors the usual ket-equation layout with up/down arrows. All output is
 deterministic: rows follow the multiplet enumeration order and amplitude
 terms are sorted by descending configuration (all-up first).
+
+Each format has one row writer, shared by ``emit_table`` and
+``emit_state_row``. It writes a row straight to its final text from the
+state's integer form: the ket of each configuration, the amplitude of each
+(r, k) and each label value are formatted once per call and kept, so a
+row is one sort of the state's masks and a join of kept pieces. A JSON
+row is written as ``emit_json`` would lay it out at its depth; every other
+JSON document (``verify``, ``measure``, ``recouple``, state files) goes
+through ``emit_json``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import add
 
 from .coupling import (
     CoupledLabel,
     CouplingTree,
+    IntegerAmplitudes,
     StateVector,
+    _half_text,
     _radical,
     config_to_string,
     expand,
@@ -44,7 +54,7 @@ __all__ = [
 ]
 
 # --------------------------------------------------------------------------
-# Amplitude and label formatting
+# Amplitude, ket and label pieces
 
 
 def _amp_text(amp: SignedRadical) -> str:
@@ -80,65 +90,128 @@ def _name_latex(name: str) -> str:
     return name
 
 
-def _label_latex(label: CoupledLabel) -> str:
-    parts = []
-    for name, value in label.quantum_numbers().items():
-        frac = _frac_latex(Fraction(value))
-        parts.append(_name_latex(name) + r"{=}" + frac)
-    sep = r",\;"
-    return r"\left|" + sep.join(parts) + r"\right\rangle"
+def _half_latex(two: int) -> str:
+    return rf"\tfrac{{{two}}}{{2}}" if two % 2 else _half_text(two)
+
+
+class _Pieces(dict):
+    """Text pieces of one call's rows: a missing key's piece is built by
+    ``build(key)`` and kept, so each distinct piece is formatted once."""
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        piece = self[key] = self.build(key)
+        return piece
+
+
+def _label_writer(tree: CouplingTree, piece, sep: str):
+    """The label text of a label of ``tree``: ``piece(name, two)`` of each
+    quantum number, read as a doubled integer, joined by ``sep``."""
+    names = tree.node_names() + ("m",)
+    pieces = _Pieces(lambda key: piece(*key))
+
+    def write(label: CoupledLabel) -> str:
+        twos = [spin.two_j for spin in label.intermediates]
+        twos.append(label.total_m.two_m)
+        return sep.join([pieces[key] for key in zip(names, twos)])
+    return write
+
+
+def _terms(amplitudes: IntegerAmplitudes, amps: _Pieces, kets: _Pieces) -> tuple:
+    """The amplitude and the ket pieces of a state's terms, by descending
+    configuration; ``amps[r][k]`` is the piece of sqrt(r) * k."""
+    ints = amplitudes.ints
+    masks = sorted(ints, reverse=True)
+    amp = amps[amplitudes.radicand]
+    return map(amp.__getitem__, map(ints.__getitem__, masks)), map(kets.__getitem__, masks)
+
+
+def _amp_pieces(write) -> _Pieces:
+    """``amps[r][k]``: ``write`` of the amplitude sqrt(r) * k."""
+    return _Pieces(lambda r: _Pieces(lambda k: write(_radical(r, k))))
 
 
 # --------------------------------------------------------------------------
-# Rows and tables
+# Row writers: one per format, each a function of (label, the state's
+# IntegerAmplitudes) with its pieces kept for the call.
 
 
-def _row_text(label: CoupledLabel, terms: list[tuple], eq: str) -> str:
-    return f"{label}  :  " + "  ".join(f"{amp}|{ket}>" for ket, amp in terms)
+def _text_writer(tree: CouplingTree, eq: str, indent: str):
+    n = tree.n
+    label_text = _label_writer(tree, lambda name, two: f"{name}={_half_text(two)}", " ")
+    amps = _amp_pieces(_amp_text)
+    kets = _Pieces(lambda config: "|" + config_to_string(config, n) + ">")
+
+    def row(label: CoupledLabel, amplitudes: IntegerAmplitudes) -> str:
+        return label_text(label) + "  :  " + "  ".join(map(add, *_terms(amplitudes, amps, kets)))
+    return row
 
 
-def _row_latex(label: CoupledLabel, terms: list[tuple], eq: str) -> str:
-    text = "".join(f"{amp}\\,{ket}" for ket, amp in terms)
-    return rf"{_label_latex(label)} {eq} {text.lstrip('+')}"
+def _latex_writer(tree: CouplingTree, eq: str, indent: str):
+    n = tree.n
+    label_text = _label_writer(
+        tree, lambda name, two: _name_latex(name) + "{=}" + _half_latex(two), r",\;")
+    amps = _amp_pieces(_amp_latex)
+    kets = _Pieces(lambda config: r"\," + _ket_latex(config, n))
+    relation = r"\right\rangle " + eq + " "
+
+    def row(label: CoupledLabel, amplitudes: IntegerAmplitudes) -> str:
+        terms = "".join(map(add, *_terms(amplitudes, amps, kets)))
+        return r"\left|" + label_text(label) + relation + terms.lstrip("+")
+    return row
 
 
-def _row_json(label: CoupledLabel, terms: list[tuple], eq: str) -> dict:
-    return {"label": label.quantum_numbers(),
-            "amplitudes": [{"config": ket, "amp": amp} for ket, amp in terms]}
+def _json_writer(tree: CouplingTree, eq: str, indent: str):
+    """Rows as ``emit_json`` lays out {"label": ..., "amplitudes": [{"config":
+    ..., "amp": ...}, ...]} at the depth of ``indent``."""
+    n = tree.n
+    in1, in2, in3 = indent + "  ", indent + "    ", indent + "      "
+    label_text = _label_writer(
+        tree, lambda name, two: encode_basestring_ascii(name) + ": "
+        + encode_basestring_ascii(_half_text(two)), ",\n" + in2)
+    amps = _amp_pieces(lambda amp: _json_indented(amp.to_json_dict(), in3, {})
+                       + "\n" + in2 + "}")
+    kets = _Pieces(lambda config: "{\n" + in3 + '"config": '
+                   + encode_basestring_ascii(config_to_string(config, n))
+                   + ",\n" + in3 + '"amp": ')
+    label_open = "{\n" + in1 + '"label": {\n' + in2
+    terms_open = "\n" + in1 + "},\n" + in1 + '"amplitudes": [\n' + in2
+    term_sep = ",\n" + in2
+    close = "\n" + in1 + "]\n" + indent + "}"
+
+    def row(label: CoupledLabel, amplitudes: IntegerAmplitudes) -> str:
+        amp_pieces, ket_pieces = _terms(amplitudes, amps, kets)
+        return (label_open + label_text(label) + terms_open
+                + term_sep.join(map(add, ket_pieces, amp_pieces)) + close)
+    return row
 
 
-# The amplitude, configuration and row formatters of each format.
-_TERM_FORMATS = {
-    "text": (_amp_text, config_to_string, _row_text),
-    "latex": (_amp_latex, _ket_latex, _row_latex),
-    "json": (SignedRadical.to_json_dict, config_to_string, _row_json),
-}
+_ROW_WRITERS = {"text": _text_writer, "latex": _latex_writer, "json": _json_writer}
 
 
-def _format_rows(pairs, n: int, fmt: str, what: str, eq: str) -> list:
-    """The rows of (label, expanded state) pairs in ``fmt``, read from each
-    state's integer form; ``eq`` is the LaTeX relation, which the other
-    formats ignore. One call formats each distinct configuration and each
-    distinct (r, k) once; terms come by descending configuration."""
-    if fmt not in _TERM_FORMATS:
+def _row_writer(tree: CouplingTree, fmt: str, what: str, eq: str, indent: str):
+    """The row writer of ``fmt`` for labels of ``tree``; ``eq`` is the LaTeX
+    relation and ``indent`` the JSON depth of a row, which the other
+    formats ignore."""
+    if fmt not in _ROW_WRITERS:
         raise ValueError(f"unknown {what} {fmt!r}")
-    amp_fn, ket_fn, row_fn = _TERM_FORMATS[fmt]
-    amps = functools.cache(lambda r: functools.cache(lambda k: amp_fn(_radical(r, k))))
-    kets = functools.cache(functools.partial(ket_fn, n=n))
-    rows = []
-    for label, state in pairs:
-        r, ints = state.amplitudes.radicand, state.amplitudes.ints
-        amp = amps(r)
-        terms = [(kets(config), amp(k)) for config, k in sorted(ints.items(), reverse=True)]
-        rows.append(row_fn(label, terms, eq))
-    return rows
+    return _ROW_WRITERS[fmt](tree, eq, indent)
+
+
+# --------------------------------------------------------------------------
+# Tables
 
 
 def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:
     """All coupled states of a tree, one row per multiplet member."""
-    rows = _format_rows(full_basis(tree), tree.n, fmt, "table format", "&=&")
+    row = _row_writer(tree, fmt, "table format", "&=&", "    ")
+    rows = [row(label, state.amplitudes) for label, state in full_basis(tree)]
     if fmt == "json":
-        return emit_json({"tree": tree.spec(), "rows": rows})
+        head = '{\n  "tree": ' + encode_basestring_ascii(tree.spec()) + ',\n  "rows": [\n    '
+        return (head + ",\n    ".join(rows) + "\n  ]\n}\n").encode("ascii")
     if fmt == "latex":
         text = "\n".join([r"\begin{eqnarray}", (r"\\" + "\n").join(rows), r"\end{eqnarray}"])
     else:
@@ -148,9 +221,8 @@ def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:
 
 def emit_state_row(label: CoupledLabel, fmt: str = "text") -> bytes:
     """One expanded coupled state in any of the table formats."""
-    state = expand(label)
-    row, = _format_rows([(label, state)], state.n, fmt, "format", "=")
-    return emit_json(row) if fmt == "json" else (row + "\n").encode("utf-8")
+    row = _row_writer(label.tree, fmt, "format", "=", "")
+    return (row(label, expand(label).amplitudes) + "\n").encode("utf-8")
 
 
 def emit_recoupling(coefficients: dict[CoupledLabel, float]) -> bytes:
@@ -266,11 +338,11 @@ def emit_json(value) -> bytes:
     """``value`` as the ``json`` module writes it with ``indent=2``, plus a
     newline, without the pure-Python encoder that ``indent`` selects.
 
-    This is the package's only JSON writer; ``json`` is its oracle in
-    ``tests/``. Strings go through ``encode_basestring_ascii``, floats
-    through ``float.__repr__``, and a dict met several times at one depth
-    (the shared checks of ``verify``, the amplitudes of a table) is
-    formatted once per call.
+    It writes every JSON document except the table and ``expand`` rows,
+    whose writer follows its layout; ``json`` is its oracle in ``tests/``.
+    Strings go through ``encode_basestring_ascii``, floats through
+    ``float.__repr__``, and a dict met several times at one depth (the
+    shared checks of ``verify``) is formatted once per call.
     """
     return (_json_indented(value, "", {}) + "\n").encode("ascii")
 

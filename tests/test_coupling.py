@@ -25,6 +25,7 @@ from multiplets.coupling import (
     projections,
     recouple,
     triangle_ok,
+    _half_text,
 )
 from multiplets.exactnum import SignedRadical
 from multiplets.statefile import emit_state_file, parse_state_file
@@ -80,6 +81,14 @@ class TestSpinTypes:
 
     def test_projections_descend(self):
         assert [p.two_m for p in projections(Spin(2))] == [2, 0, -2]
+
+    @pytest.mark.parametrize("two", range(-41, 42))
+    def test_half_text_matches_fraction(self, two):
+        text = str(Fraction(two, 2))
+        assert _half_text(two) == text
+        assert str(SpinProjection(two)) == text
+        if two >= 0:
+            assert str(Spin(two)) == text
 
 
 class TestCg:

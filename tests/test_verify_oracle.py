@@ -14,11 +14,11 @@ radicand 1 + (2^39 - 1)^2 is read without factoring. Reversing the
 states of one multiplet gives S_z residuals of exactly |delta m|.
 ``verify_basis`` takes only expanded states.
 
-``emit_json``, the package's only JSON writer, is checked against its own
-oracle, ``json.dumps(value, indent=2)``, byte for byte, on real reports
-and on ``hypothesis`` JSON values: nested dicts and lists, one dict object
-reached at several depths, Unicode text, ints, bools, None and arbitrary
-floats.
+``emit_json``, the JSON writer of every report and state file, is
+checked against its own oracle, ``json.dumps(value, indent=2)``, byte for
+byte, on real reports and on ``hypothesis`` JSON values: nested dicts and
+lists, one dict object reached at several depths, Unicode text, ints,
+bools, None and arbitrary floats.
 """
 
 import json
