@@ -27,12 +27,10 @@ from .coupling import (
     IntegerAmplitudes,
     StateVector,
     _half_text,
-    _radical,
     config_to_string,
     expand,
     full_basis,
 )
-from .exactnum import SignedRadical
 from .measures import (
     MAX_SEARCH_QUBITS,
     MeasurementBasis,
@@ -57,31 +55,39 @@ __all__ = [
 # Amplitude, ket and label pieces
 
 
-def _amp_text(amp: SignedRadical) -> str:
-    return ("+" if amp.sign > 0 else "") + str(amp)
+def _amp_parts(p: int, q: int, k: int) -> tuple[int, int, int, tuple[int, int] | None]:
+    """sqrt(p/q) * k, p/q in lowest terms, as its sign, its radicand
+    p k^2 / q in lowest terms (num, den), and (a, b) with a/b its absolute
+    value when that is rational, else None. Only k^2 and q share factors."""
+    g = math.gcd(k * k, q)
+    num, den = p * (k * k // g), q // g
+    a, b = math.isqrt(num), math.isqrt(den)
+    return 1 if k > 0 else -1, num, den, (a, b) if a * a == num and b * b == den else None
 
 
-def _frac_latex(value) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return rf"\tfrac{{{value.numerator}}}{{{value.denominator}}}"
+def _ratio_text(p: int, q: int) -> str:
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
-def _amp_latex(amp: SignedRadical) -> str:
-    if amp.sign == 0:
-        return "0"
-    sign = "-" if amp.sign < 0 else "+"
-    if amp.is_rational():
-        return sign + _frac_latex(abs(amp.as_rational()))
-    return sign + rf"\sqrt{{{_frac_latex(amp.radicand)}}}"
+def _ratio_latex(p: int, q: int) -> str:
+    return str(p) if q == 1 else rf"\tfrac{{{p}}}{{{q}}}"
+
+
+def _amp_text(sign: int, num: int, den: int, root) -> str:
+    value = _ratio_text(*root) if root else "sqrt(" + _ratio_text(num, den) + ")"
+    return ("+" if sign > 0 else "-") + value
+
+
+def _amp_latex(sign: int, num: int, den: int, root) -> str:
+    value = _ratio_latex(*root) if root else r"\sqrt{" + _ratio_latex(num, den) + "}"
+    return ("+" if sign > 0 else "-") + value
+
+
+_ARROWS = str.maketrans({"u": r"\uparrow", "d": r"\downarrow"})
 
 
 def _ket_latex(config: int, n: int) -> str:
-    arrows = "".join(
-        r"\uparrow" if ch == "u" else r"\downarrow"
-        for ch in config_to_string(config, n)
-    )
-    return rf"\left|{arrows}\right\rangle"
+    return r"\left|" + config_to_string(config, n).translate(_ARROWS) + r"\right\rangle"
 
 
 def _name_latex(name: str) -> str:
@@ -122,16 +128,16 @@ def _label_writer(tree: CouplingTree, piece, sep: str):
 
 def _terms(amplitudes: IntegerAmplitudes, amps: _Pieces, kets: _Pieces) -> tuple:
     """The amplitude and the ket pieces of a state's terms, by descending
-    configuration; ``amps[r][k]`` is the piece of sqrt(r) * k."""
-    ints = amplitudes.ints
+    configuration; ``amps[p, q][k]`` is the piece of sqrt(p/q) * k."""
+    ints, r = amplitudes.ints, amplitudes.radicand
     masks = sorted(ints, reverse=True)
-    amp = amps[amplitudes.radicand]
+    amp = amps[r.numerator, r.denominator]
     return map(amp.__getitem__, map(ints.__getitem__, masks)), map(kets.__getitem__, masks)
 
 
 def _amp_pieces(write) -> _Pieces:
-    """``amps[r][k]``: ``write`` of the amplitude sqrt(r) * k."""
-    return _Pieces(lambda r: _Pieces(lambda k: write(_radical(r, k))))
+    """``amps[p, q][k]``: ``write`` of the ``_amp_parts`` of sqrt(p/q) * k."""
+    return _Pieces(lambda pq: _Pieces(lambda k: write(*_amp_parts(*pq, k))))
 
 
 # --------------------------------------------------------------------------
@@ -172,8 +178,8 @@ def _json_writer(tree: CouplingTree, eq: str, indent: str):
     label_text = _label_writer(
         tree, lambda name, two: encode_basestring_ascii(name) + ": "
         + encode_basestring_ascii(_half_text(two)), ",\n" + in2)
-    amps = _amp_pieces(lambda amp: _json_indented(amp.to_json_dict(), in3, {})
-                       + "\n" + in2 + "}")
+    amps = _amp_pieces(lambda sign, num, den, root: _json_indented(
+        {"sign": sign, "num": str(num), "den": str(den)}, in3, {}) + "\n" + in2 + "}")
     kets = _Pieces(lambda config: "{\n" + in3 + '"config": '
                    + encode_basestring_ascii(config_to_string(config, n))
                    + ",\n" + in3 + '"amp": ')

@@ -2,7 +2,9 @@
 row writers of ``multiplets.report``.
 
 This is the path that ``report`` ran before it wrote rows through per-call
-string templates: each row is built from a list of (ket, amplitude) term
+string templates: each amplitude is a ``SignedRadical`` built by
+``coupling._radical`` and formatted through its ``str`` and
+``to_json_dict``, each row is built from a list of (ket, amplitude) term
 tuples, each label value is parsed back through ``Fraction`` for LaTeX,
 and a JSON row is a dict of fresh ``{"config", "amp"}`` dicts, laid out by
 ``emit_json``. It lives here, not in ``src/``, because the package has one
@@ -24,14 +26,26 @@ from multiplets.coupling import (
     full_basis,
 )
 from multiplets.exactnum import SignedRadical
-from multiplets.report import (
-    _amp_latex,
-    _amp_text,
-    _frac_latex,
-    _ket_latex,
-    _name_latex,
-    emit_json,
-)
+from multiplets.report import _ket_latex, _name_latex, emit_json
+
+
+def _amp_text(amp: SignedRadical) -> str:
+    return ("+" if amp.sign > 0 else "") + str(amp)
+
+
+def _frac_latex(value) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return rf"\tfrac{{{value.numerator}}}{{{value.denominator}}}"
+
+
+def _amp_latex(amp: SignedRadical) -> str:
+    if amp.sign == 0:
+        return "0"
+    sign = "-" if amp.sign < 0 else "+"
+    if amp.is_rational():
+        return sign + _frac_latex(abs(amp.as_rational()))
+    return sign + rf"\sqrt{{{_frac_latex(amp.radicand)}}}"
 
 
 def _label_latex(label: CoupledLabel) -> str:
