@@ -18,8 +18,8 @@ Each coupled state, of a subtree or of the tree, is the only common
 eigenvector of integer Casimirs, so it is sqrt(r) times a vector of
 coprime integers: the one form that expansions make, (r, {bitmask: k}).
 An expanded ``StateVector`` holds it as ``IntegerAmplitudes``, whose
-integers ``to_array``, the table rows and ``verify`` read. The CG cache
-is the only cache that outlives a call.
+integers ``to_array``, the table rows, ``verify`` and ``recouple`` read.
+The CG cache is the only cache that outlives a call.
 """
 
 from __future__ import annotations
@@ -501,9 +501,21 @@ def config_from_string(s: str) -> int:
 _NORM_TOL = 1e-12
 
 
-def _radical(r: Fraction, k: int) -> SignedRadical:
-    """sqrt(r) * k for a nonzero integer k."""
-    return SignedRadical(1 if k > 0 else -1, r * (k * k))
+def _amp_parts(p: int, q: int, k: int) -> tuple[int, int, int, tuple[int, int] | None]:
+    """sqrt(p/q) * k, p/q in lowest terms, as its sign, its radicand
+    p k^2 / q in lowest terms (num, den), and (a, b) with a/b its absolute
+    value when that is rational, else None. Only k^2 and q share factors."""
+    g = math.gcd(k * k, q)
+    num, den = p * (k * k // g), q // g
+    a, b = math.isqrt(num), math.isqrt(den)
+    return 1 if k > 0 else -1, num, den, (a, b) if a * a == num and b * b == den else None
+
+
+def _amp_float(p: int, q: int, k: int) -> float:
+    """sqrt(p/q) * k as the float that ``SignedRadical.to_float`` gives:
+    an int division rounds correctly, as ``Fraction.__float__`` does."""
+    sign, num, den, root = _amp_parts(p, q, k)
+    return sign * (root[0] / root[1] if root else math.sqrt(num / den))
 
 
 class IntegerAmplitudes(Mapping):
@@ -519,7 +531,7 @@ class IntegerAmplitudes(Mapping):
     def __getitem__(self, mask: int) -> SignedRadical:
         k = self.ints[mask]
         if k not in self._values:
-            self._values[k] = _radical(self.radicand, k)
+            self._values[k] = SignedRadical(1 if k > 0 else -1, self.radicand * (k * k))
         return self._values[k]
 
     def __len__(self) -> int:
@@ -537,7 +549,7 @@ class IntegerAmplitudes(Mapping):
 
 # Most particles a state may have as a dense array: 2**24 complex values
 # take 256 MB. ``StateVector.to_array`` refuses larger states before it
-# allocates anything.
+# allocates anything, and ``recouple`` larger trees (2**n labels to walk).
 MAX_DENSE_QUBITS = 24
 
 
@@ -617,9 +629,9 @@ class StateVector:
 
     def to_array(self) -> np.ndarray:
         """Dense complex array in up-first basis order. An exact state
-        converts each distinct value (each distinct k of an engine state)
-        once, through ``SignedRadical.to_float``. Raises ValueError above
-        MAX_DENSE_QUBITS particles."""
+        converts each distinct value once, through ``SignedRadical.to_float``,
+        or, for an engine state, each distinct k through ``_amp_float``.
+        Raises ValueError above MAX_DENSE_QUBITS particles."""
         if self.n > MAX_DENSE_QUBITS:
             raise ValueError(
                 f"a dense array of {self.n} particles needs 2**{self.n} amplitudes; "
@@ -628,8 +640,8 @@ class StateVector:
         # Each cache lives for this call only.
         amps = self.amplitudes
         if isinstance(amps, IntegerAmplitudes):
-            r, amps = amps.radicand, amps.ints
-            value = functools.cache(lambda k: _radical(r, k).to_float())
+            p, q, amps = amps.radicand.numerator, amps.radicand.denominator, amps.ints
+            value = functools.cache(lambda k: _amp_float(p, q, k))
         else:
             value = functools.cache(SignedRadical.to_float) if self.exact else complex
         count = len(amps)
@@ -780,23 +792,29 @@ def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
 def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, float]:
     """Coefficients of a coupled state in another tree's coupled basis.
 
-    Computed as inner products of the exact expansions, evaluated in
-    floats; coefficients of magnitude at most 1e-12 are dropped. Only
+    Each is sqrt(r_s r_t) times the integer dot product of the two
+    expansions' ints, kept when nonzero and rounded once to a float. Only
     target labels with the same total S and m can appear, so only that
     sector of the target is enumerated and expanded, with one subtree
-    memo shared over it for this call.
+    memo shared over it for this call. Above MAX_DENSE_QUBITS particles,
+    whose 2**n labels could not be walked, raises ValueError first.
     """
     if set(label.tree.particles()) != set(target.particles()):
         raise ValueError("trees must couple the same particles")
-    source = expand(label).to_array()
+    if target.n > MAX_DENSE_QUBITS:
+        raise ValueError(f"recoupling {target.n} particles walks up to 2**{target.n} "
+                         f"target labels; at most {MAX_DENSE_QUBITS} particles are supported")
+    source = expand(label).amplitudes
     memo: dict[tuple, tuple] = {}
     out: dict[CoupledLabel, float] = {}
     for total, intermediates in _assignments(target.root):
         if total != label.total_spin:
             continue
         target_label = CoupledLabel(target, intermediates, label.total_m)
-        state = _expansion(target_label, memo)
-        coeff = float(np.real(np.vdot(state.to_array(), source)))
-        if abs(coeff) > 1e-12:
-            out[target_label] = coeff
+        state = _expansion(target_label, memo).amplitudes
+        small, large = sorted((source.ints, state.ints), key=len)
+        dot = sum(k * large[mask] for mask, k in small.items() if mask in large)
+        if dot:
+            r = source.radicand * state.radicand
+            out[target_label] = _amp_float(r.numerator, r.denominator, dot)
     return out

@@ -26,6 +26,7 @@ from .coupling import (
     CouplingTree,
     IntegerAmplitudes,
     StateVector,
+    _amp_parts,
     _half_text,
     config_to_string,
     expand,
@@ -53,16 +54,6 @@ __all__ = [
 
 # --------------------------------------------------------------------------
 # Amplitude, ket and label pieces
-
-
-def _amp_parts(p: int, q: int, k: int) -> tuple[int, int, int, tuple[int, int] | None]:
-    """sqrt(p/q) * k, p/q in lowest terms, as its sign, its radicand
-    p k^2 / q in lowest terms (num, den), and (a, b) with a/b its absolute
-    value when that is rational, else None. Only k^2 and q share factors."""
-    g = math.gcd(k * k, q)
-    num, den = p * (k * k // g), q // g
-    a, b = math.isqrt(num), math.isqrt(den)
-    return 1 if k > 0 else -1, num, den, (a, b) if a * a == num and b * b == den else None
 
 
 def _ratio_text(p: int, q: int) -> str:

@@ -2,14 +2,14 @@
 row writers of ``multiplets.report``.
 
 This is the path that ``report`` ran before it wrote rows through per-call
-string templates: each amplitude is a ``SignedRadical`` built by
-``coupling._radical`` and formatted through its ``str`` and
-``to_json_dict``, each row is built from a list of (ket, amplitude) term
-tuples, each label value is parsed back through ``Fraction`` for LaTeX,
-and a JSON row is a dict of fresh ``{"config", "amp"}`` dicts, laid out by
-``emit_json``. It lives here, not in ``src/``, because the package has one
-row writer per format; ``tests/test_table_oracle.py`` requires equal bytes
-from both.
+string templates: each amplitude is a ``SignedRadical`` built from its
+(r, k), as ``IntegerAmplitudes`` builds it, and formatted through its
+``str`` and ``to_json_dict``, each row is built from a list of (ket,
+amplitude) term tuples, each label value is parsed back through
+``Fraction`` for LaTeX, and a JSON row is a dict of fresh ``{"config",
+"amp"}`` dicts, laid out by ``emit_json``. It lives here, not in
+``src/``, because the package has one row writer per format;
+``tests/test_table_oracle.py`` requires equal bytes from both.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from fractions import Fraction
 from multiplets.coupling import (
     CoupledLabel,
     CouplingTree,
-    _radical,
     config_to_string,
     expand,
     full_basis,
@@ -86,7 +85,8 @@ def _format_rows(pairs, n: int, fmt: str, what: str, eq: str) -> list:
     if fmt not in _TERM_FORMATS:
         raise ValueError(f"unknown {what} {fmt!r}")
     amp_fn, ket_fn, row_fn = _TERM_FORMATS[fmt]
-    amps = functools.cache(lambda r: functools.cache(lambda k: amp_fn(_radical(r, k))))
+    amps = functools.cache(lambda r: functools.cache(
+        lambda k: amp_fn(SignedRadical(1 if k > 0 else -1, r * (k * k)))))
     kets = functools.cache(functools.partial(ket_fn, n=n))
     rows = []
     for label, state in pairs:

@@ -6,9 +6,11 @@ each state as ``StateVector(n, IntegerAmplitudes(r, ints), True)``. It
 must give exactly the states that the engine on ``SignedRadical`` objects
 gives, ``tests/oracle_expand.py``: the same configurations with equal
 values. The integer form must hold on every state, ``to_array`` must give
-the float of each amplitude bit for bit, ``IntegerAmplitudes`` must build
-each radical only when it is read, and ``StateVector`` must check the
-norm and range of the integer form as it checks any other amplitudes.
+the float of each amplitude bit for bit, ``coupling._amp_float`` must
+round each (r, k) as ``SignedRadical.to_float`` does, ``IntegerAmplitudes``
+must build each radical only when it is read, and ``StateVector`` must
+check the norm and range of the integer form as it checks any other
+amplitudes.
 """
 
 import math
@@ -102,11 +104,21 @@ class TestIntegerForm:
                 want[dense_index(config, tree.n)] = amp.to_float()
             assert np.array_equal(dense, want)
 
+    def test_amp_float_rounds_as_to_float(self):
+        trees = [tree for n in range(2, 7) for tree in all_coupling_trees(range(1, n + 1))]
+        parts = {(state.amplitudes.radicand, k)
+                 for tree in trees + [_sequential(8), _sequential(10)]
+                 for _, state in full_basis(tree) for k in state.amplitudes.ints.values()}
+        assert len(parts) == 2188
+        for r, k in parts:
+            want = SignedRadical(1 if k > 0 else -1, r * k * k).to_float()
+            assert coupling._amp_float(r.numerator, r.denominator, k).hex() == want.hex()
+
     def test_amplitudes_are_built_on_first_use(self, monkeypatch):
-        built = []
-        radical = coupling._radical
-        monkeypatch.setattr(coupling, "_radical", lambda r, k: built.append(k) or radical(r, k))
         state = expand(enumerate_multiplets(_sequential(4))[5])
+        built = []
+        monkeypatch.setattr(coupling, "SignedRadical",
+                            lambda sign, value: built.append(sign * value) or SignedRadical(sign, value))
         amplitudes = state.amplitudes
         assert isinstance(amplitudes, IntegerAmplitudes)
         r, ints = amplitudes.radicand, amplitudes.ints
@@ -115,7 +127,7 @@ class TestIntegerForm:
         assert all(mask in amplitudes for mask in ints) and -1 not in amplitudes
         assert amplitudes._values == {} and built == []
         first = {mask: amplitudes[mask] for mask in ints}
-        assert sorted(built) == sorted(set(ints.values()))
+        assert sorted(built) == sorted((1 if k > 0 else -1) * r * k * k for k in set(ints.values()))
         assert amplitudes._values.keys() == set(ints.values())
         assert all(first[mask] is amplitudes._values[k] for mask, k in ints.items())
         assert all(amplitudes[mask] is first[mask] for mask in ints)

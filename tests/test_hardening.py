@@ -18,10 +18,12 @@ from multiplets.cli import main
 from multiplets.coupling import (
     MAX_DENSE_QUBITS,
     MAX_TREE_LEAVES,
+    CoupledLabel,
     CouplingTree,
     Spin,
     SpinProjection,
     StateVector,
+    recouple,
 )
 from multiplets.exactnum import SignedRadical
 from multiplets.statefile import StateFileError, parse_state_file
@@ -276,6 +278,18 @@ class TestDenseCap:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "2**30" in err
+
+    def test_recouple_of_twenty_five_particles_is_refused_before_expanding(self):
+        # S = m = 1/2 with alternating 1, 1/2 intermediates: the source has
+        # C(25, 12) amplitudes, which the refusal must not build.
+        tree = CouplingTree.parse(_sequential_spec(25))
+        label = CoupledLabel(tree, tuple(Spin(2 - i % 2) for i in range(24)),
+                             SpinProjection(1))
+        target = CouplingTree.parse(_balanced_spec(list(range(1, 26))))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"2\*\*25 target labels"):
+            recouple(label, target)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLabelText:

@@ -3,10 +3,12 @@
 ``recouple`` enumerates only the source's (S, m) sector of the target and
 shares one subtree memo over it; ``full_basis`` shares one memo over all
 labels of a tree. Both must give exactly what label-by-label ``expand``
-gives: ``tests/oracle_recouple.py`` for ``recouple``, and
-``[(label, expand(label)) ...]`` for ``full_basis``. Between trees that
-differ by one rotation, every recoupling coefficient must also equal
-Racah's single-6j formula.
+gives: ``tests/oracle_recouple.py`` for ``recouple`` (bit-equal to its
+exact oracle; the labels of its float oracle, in order, within 1e-15),
+and ``[(label, expand(label)) ...]`` for ``full_basis``. Between trees
+that differ by one rotation, every recoupling coefficient must also equal
+Racah's single-6j formula, and between ((1 2) (3 4)) and ((1 3) (2 4))
+the 9j formula.
 """
 
 import random
@@ -17,6 +19,7 @@ import pytest
 from multiplets.coupling import (
     CouplingTree,
     Node,
+    StateVector,
     all_coupling_trees,
     enumerate_multiplets,
     expand,
@@ -30,6 +33,16 @@ import oracle_recouple
 def _bits(coefficients):
     """(label, float bits) in dict order: equal only for bit-equal floats."""
     return [(label, coeff.hex()) for label, coeff in coefficients.items()]
+
+
+def _assert_matches_oracles(label, target):
+    """Bit-equal to the exact oracle; the float oracle's labels, in its
+    order, each value within 1e-15 of the float ``vdot``."""
+    got = recouple(label, target)
+    assert _bits(got) == _bits(oracle_recouple.recouple_exact(label, target))
+    floats = oracle_recouple.recouple(label, target)
+    assert list(got) == list(floats)
+    assert all(abs(got[key] - value) <= 1e-15 for key, value in floats.items())
 
 
 def _sequential(n):
@@ -58,8 +71,7 @@ class TestRecoupleAgainstOracle:
             for target in TREES4:
                 if target == source:
                     continue
-                assert _bits(recouple(label, target)) == _bits(
-                    oracle_recouple.recouple(label, target))
+                _assert_matches_oracles(label, target)
 
     @pytest.mark.parametrize("n, samples", [(5, 60), (6, 25)])
     def test_sampled_labels(self, n, samples):
@@ -68,14 +80,23 @@ class TestRecoupleAgainstOracle:
         for _ in range(samples):
             source, target = rng.sample(trees, 2)
             label = rng.choice(enumerate_multiplets(source))
-            assert _bits(recouple(label, target)) == _bits(
-                oracle_recouple.recouple(label, target))
+            _assert_matches_oracles(label, target)
 
     def test_into_the_same_tree(self):
         tree = _balanced(6)
         for label in enumerate_multiplets(tree)[::7]:
-            assert _bits(recouple(label, tree)) == _bits(
-                oracle_recouple.recouple(label, tree))
+            _assert_matches_oracles(label, tree)
+
+
+def test_recouple_builds_no_dense_array(monkeypatch):
+    def refuse(self):
+        raise AssertionError("recouple built a dense array")
+
+    source, target = _sequential(4), _balanced(4)
+    labels = enumerate_multiplets(source)
+    want = [oracle_recouple.recouple_exact(label, target) for label in labels]
+    monkeypatch.setattr(StateVector, "to_array", refuse)
+    assert [_bits(recouple(label, target)) for label in labels] == list(map(_bits, want))
 
 
 def _assert_full_basis_matches_expand(tree):
@@ -173,3 +194,31 @@ def test_single_rotation_matches_six_j(parts):
         for j_bc, value in expected.items():
             assert got[j_bc] == pytest.approx(value, abs=1e-12)
 
+
+
+def test_two_pair_swap_matches_nine_j():
+    # <(1 2) j12, (3 4) j34; S | (1 3) j13, (2 4) j24; S> is
+    # sqrt((2j12+1)(2j34+1)(2j13+1)(2j24+1)) times one Wigner 9j symbol.
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import wigner_9j
+
+    source = CouplingTree.parse("((1 2) (3 4))")
+    target = CouplingTree.parse("((1 3) (2 4))")
+    half = sympy.Rational(1, 2)
+    nonzero = 0
+    for label in enumerate_multiplets(source):
+        j12, j34, total = (sympy.Rational(spin.two_j, 2) for spin in label.intermediates)
+        expected = {}
+        for j13 in (1, 0):
+            for j24 in (1, 0):
+                value = sympy.sqrt((2 * j12 + 1) * (2 * j34 + 1) * (2 * j13 + 1) * (2 * j24 + 1)) \
+                    * wigner_9j(half, half, j12, half, half, j34, j13, j24, total)
+                if value != 0:
+                    expected[2 * j13, 2 * j24] = float(value)
+        got = {(target_label.intermediates[0].two_j, target_label.intermediates[1].two_j): coeff
+               for target_label, coeff in recouple(label, target).items()}
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, abs=1e-15)
+        nonzero += len(got)
+    assert nonzero == 33
