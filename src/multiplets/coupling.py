@@ -8,8 +8,8 @@ rationals, so every amplitude is a :class:`~multiplets.exactnum.SignedRadical`.
 Labels and expansions index a tree's nodes by position: the leaves, then
 the internal nodes in postorder (``CouplingTree._postorder``, built once
 per tree), so neither hashes ``Node``s. Expansion recurses top-down, and a
-memo keyed by (position, the subtree's doubled spins, 2m) holds each
-subtree expansion, except the root's. The memo lives for one call: one
+memo keyed by (position, the subtree's doubled spins) holds each subtree
+expansion by 2m, except the root's. The memo lives for one call: one
 label in ``expand``, every label of the tree in ``full_basis``, the
 target's (S, m) sector in ``recouple``. The price is memory, since
 ``full_basis`` holds every non-root subtree expansion until it returns.
@@ -19,16 +19,22 @@ eigenvector of integer Casimirs, so it is sqrt(r) times a vector of
 coprime integers: the one form that expansions make, (r, {bitmask: k}).
 An expanded ``StateVector`` holds it as ``IntegerAmplitudes``, whose
 integers ``to_array``, the table rows, ``verify`` and ``recouple`` read.
-The CG cache is the only cache that outlives a call.
+
+Two caches live for the process, both keyed by doubled spins alone: the
+CG cache (``_cg_doubled``) and the branch plans built from it
+(``_branch_plan``, the nonzero CG terms of one (j_left, j_right, j, m)
+as int tuples). Everything else that an expansion keeps, the subtree
+memo included, lives for one call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -297,15 +303,14 @@ class CouplingTree:
 
     @functools.cached_property
     def _node_names(self) -> tuple[str, ...]:
+        leaves, nodes = self._postorder
+        particles = [(leaf.index,) for leaf in leaves]
+        for left, right, _ in nodes:
+            particles.append(particles[left] + particles[right])
         names = []
-        for node in self.internal_nodes():
-            if node is self.root:
-                names.append("S")
-            else:
-                idx = sorted(self.node_particles(node))
-                sep = "," if any(i > 9 for i in idx) else ""
-                names.append("S" + sep.join(str(i) for i in idx))
-        return tuple(names)
+        for idx in map(sorted, particles[len(leaves):-1]):
+            names.append("S" + ("," if idx[-1] > 9 else "").join(map(str, idx)))
+        return tuple(names) + (("S",) if nodes else ())
 
     @classmethod
     def parse(cls, spec: str) -> "CouplingTree":
@@ -356,6 +361,20 @@ class CouplingTree:
             firsts = [nodes[child - n][2] for child in (left, right) if child >= n]
             nodes.append((left, right, firsts[0] if firsts else own))
         return leaves, tuple(nodes)
+
+    @functools.cached_property
+    def _leaf_spins(self) -> tuple[int, ...]:
+        """The leaves' doubled spins, in leaf order."""
+        return tuple(leaf.spin.two_j for leaf in self._postorder[0])
+
+    # A tree is immutable, so its hash, the dataclass's own hash((root,)),
+    # is taken once rather than through every Node and Leaf at each lookup.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.root,))
 
 
 def _tokenize(spec: str) -> list:
@@ -426,6 +445,9 @@ def all_coupling_trees(particles: tuple[int, ...] | list[int]) -> list[CouplingT
 # Labels and state vectors
 
 
+_TWO_J = operator.attrgetter("two_j")
+
+
 @dataclass(frozen=True)
 class CoupledLabel:
     """One multiplet member: a tree, its intermediate spins and total m.
@@ -437,6 +459,9 @@ class CoupledLabel:
     tree: CouplingTree
     intermediates: tuple[Spin, ...]
     total_m: SpinProjection
+    # Doubled spins by tree position, the leaves' then the intermediates':
+    # what the checks below and the expansion read.
+    _spins: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         leaves, nodes = self.tree._postorder
@@ -446,14 +471,17 @@ class CoupledLabel:
             raise ValueError(
                 f"need {len(nodes)} intermediate spins, got {len(self.intermediates)}"
             )
-        spins = tuple(leaf.spin for leaf in leaves) + self.intermediates
-        for slot, (left, right, _) in enumerate(nodes):
-            if not triangle_ok(spins[left], spins[right], self.intermediates[slot]):
-                node = self.tree.internal_nodes()[slot]
+        spins = self.tree._leaf_spins + tuple(map(_TWO_J, self.intermediates))
+        for pos, (left, right, _) in enumerate(nodes, len(leaves)):
+            two_l, two_r, two_j = spins[left], spins[right], spins[pos]
+            # The triangle rule of ``triangle_ok``, on the doubled ints.
+            if not abs(two_l - two_r) <= two_j <= two_l + two_r or (two_l + two_r + two_j) % 2:
+                node = self.tree.internal_nodes()[pos - len(leaves)]
                 raise ValueError(
                     f"triangle rule fails at node over {self.tree.node_particles(node)}"
                 )
         _check_jm(self.total_spin, self.total_m)
+        object.__setattr__(self, "_spins", spins)
 
     @property
     def total_spin(self) -> Spin:
@@ -576,9 +604,12 @@ class StateVector:
             raise ValueError("a state needs at least one amplitude")
         dim = 1 << self.n
         if self.exact and integer:
-            norm2 = amps.radicand * sum(k * k for k in amps.ints.values())
             if min(amps.ints) < 0 or max(amps.ints) >= dim:
                 raise ValueError(f"configuration out of range for {self.n} particles")
+            # r * sum(k^2) == 1 in ints; a Fraction only for the message.
+            ks, num, den = amps.ints.values(), amps.radicand.numerator, amps.radicand.denominator
+            squares = sum(map(operator.mul, ks, ks)) * num
+            norm2 = 1 if squares == den else Fraction(squares, den)
         else:
             cleaned: dict[int, object] = {}
             norm2 = Fraction(0) if self.exact else 0.0
@@ -656,15 +687,36 @@ class StateVector:
 # Multiplet enumeration and expansion
 
 
-def _assignments(node: TreeNode) -> Iterator[tuple[Spin, tuple[Spin, ...]]]:
-    """(subtree spin, intermediate spins postorder), spins descending."""
-    if isinstance(node, Leaf):
-        yield node.spin, ()
-        return
-    for left_spin, left_inter in _assignments(node.left):
-        for right_spin, right_inter in _assignments(node.right):
-            for total in allowed_couplings(left_spin, right_spin):
-                yield total, left_inter + right_inter + (total,)
+def _assignments(tree: CouplingTree, two_s: int | None = None
+                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(doubled total spin, doubled intermediate spins postorder) of each
+    label assignment, earlier spins descending first.
+
+    With ``two_s``, only the assignments of total two_s, in the same order.
+    Each subtree's spin is then held to the range from which the total can
+    still reach two_s, so the walk never enters a branch that cannot.
+    """
+    leaves, nodes = tree._postorder
+    n = len(leaves)
+    most = list(tree._leaf_spins)
+    for left, right, _ in nodes:
+        most.append(most[left] + most[right])
+
+    def walk(pos: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        if pos < n:
+            if lo <= most[pos] <= hi:
+                yield most[pos], ()
+            return
+        # A parent total t in [lo, hi] needs |j_l - j_r| <= t <= j_l + j_r.
+        left, right, _ = nodes[pos - n]
+        for two_l, inter_l in walk(left, lo - most[right], hi + most[right]):
+            for two_r, inter_r in walk(right, max(lo - two_l, two_l - hi), two_l + hi):
+                top = min(two_l + two_r, hi - (hi - two_l - two_r) % 2)
+                for total in range(top, max(abs(two_l - two_r), lo) - 1, -2):
+                    yield total, inter_l + inter_r + (total,)
+
+    root = len(most) - 1
+    return walk(root, 0, most[root]) if two_s is None else walk(root, two_s, two_s)
 
 
 def enumerate_multiplets(tree: CouplingTree) -> list[CoupledLabel]:
@@ -675,9 +727,11 @@ def enumerate_multiplets(tree: CouplingTree) -> list[CoupledLabel]:
     The labels always count the full product-space dimension.
     """
     labels = []
-    for total, intermediates in _assignments(tree.root):
-        for m in projections(total):
-            labels.append(CoupledLabel(tree, intermediates, m))
+    spin = functools.cache(Spin)  # for this call: labels share their Spins
+    for total, intermediates in _assignments(tree):
+        spins = tuple(map(spin, intermediates))
+        for two_m in range(total, -total - 1, -2):
+            labels.append(CoupledLabel(tree, spins, SpinProjection(two_m)))
     return labels
 
 
@@ -690,8 +744,27 @@ def _ratio_root(p: int, q: int, p_first: int, q_first: int) -> tuple[int, int] |
     return (a, b) if a * a == p * q_first * b else None
 
 
+@functools.lru_cache(maxsize=None)
+def _branch_plan(two_j_left: int, two_j_right: int, two_j: int,
+                 two_m: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The nonzero CG branches of |j m> over (j_left, j_right), ascending
+    in m_left, as (two_ml, two_mr, sign, num, den): the coefficient is
+    sign * sqrt(num/den). Read once per process from ``_cg_doubled``, with
+    the same coefficients that a scan of every m_left asks it for."""
+    plan = []
+    for two_ml in range(-two_j_left, two_j_left + 1, 2):
+        two_mr = two_m - two_ml
+        if abs(two_mr) > two_j_right:
+            continue
+        coeff = _cg_doubled(two_j_left, two_ml, two_j_right, two_mr, two_j, two_m)
+        if coeff:
+            radicand = coeff.radicand
+            plan.append((two_ml, two_mr, coeff.sign, radicand.numerator, radicand.denominator))
+    return tuple(plan)
+
+
 def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
-                 memo: dict[tuple, tuple]) -> tuple[int, int, dict[int, int]]:
+                 memo: dict[tuple, dict]) -> tuple[int, int, dict[int, int]]:
     """Expansion of the node at ``pos`` as (p, q, {configuration bitmask:
     k}): amplitude sqrt(p/q) * k, p/q in lowest terms, the k coprime ints.
 
@@ -703,41 +776,51 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
     square (a/b)^2, else ValueError. The branches, scaled by a/b, are
     brought to the lcm of the b and divided by the gcd of their factors:
     the gcd of the result, as each subtree's ints are coprime. ``memo``
-    maps (pos, the subtree's slice of ``spins``, two_m) to the subtree's
-    expansion, so a subtree reached again, by another path or another
+    maps (pos, the subtree's slice of ``spins``) to {two_m: the subtree's
+    expansion}, so a subtree reached again, by another path or another
     label of the same tree, is not expanded twice. The root's key is
-    unique per label: never stored.
+    unique per label: never stored. A parent writes its leaf children
+    itself and looks its subtree children up in the memo, so neither a
+    leaf nor a memo hit costs a call.
     """
     leaves, nodes = postorder
     n = len(leaves)
     if pos < n:
         return 1, 1, {1 << (n - leaves[pos].index) if two_m > 0 else 0: 1}
     left, right, first = nodes[pos - n]
-    key = (pos, spins[first:pos + 1], two_m)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    j_left, j_right = spins[left], spins[right]
+    stored = pos < len(spins) - 1
+    if stored:
+        known = memo.setdefault((pos, spins[first:pos + 1]), {})
+        if two_m in known:
+            return known[two_m]
+    if left < n:
+        known_left = {1: (1, 1, {1 << (n - leaves[left].index): 1}), -1: (1, 1, {0: 1})}
+    else:
+        known_left = memo.setdefault((left, spins[nodes[left - n][2]:left + 1]), {})
+    if right < n:
+        known_right = {1: (1, 1, {1 << (n - leaves[right].index): 1}), -1: (1, 1, {0: 1})}
+    else:
+        known_right = memo.setdefault((right, spins[nodes[right - n][2]:right + 1]), {})
     branches = []
-    for two_ml in range(-j_left, j_left + 1, 2):
-        two_mr = two_m - two_ml
-        if abs(two_mr) > j_right:
-            continue
-        coeff = _cg_doubled(j_left, two_ml, j_right, two_mr, spins[pos], two_m)
-        if not coeff:
-            continue
-        p_left, q_left, ints_left = _expand_node(left, postorder, spins, two_ml, memo)
-        p_right, q_right, ints_right = _expand_node(right, postorder, spins, two_mr, memo)
-        p = coeff.radicand.numerator * p_left * p_right
-        q = coeff.radicand.denominator * q_left * q_right
-        if not branches:
-            p_first, q_first = p, q
-        root = _ratio_root(p, q, p_first, q_first)
-        if root is None:
-            raise ValueError(f"branch radicands {p}/{q} and {p_first}/{q_first} "
-                             "differ by an irrational factor")
-        a, b = root
-        branches.append((coeff.sign * a, b, *sorted((ints_left, ints_right), key=len)))
+    for two_ml, two_mr, sign, num, den in _branch_plan(spins[left], spins[right], spins[pos],
+                                                       two_m):
+        p_left, q_left, ints_left = (known_left.get(two_ml)
+                                     or _expand_node(left, postorder, spins, two_ml, memo))
+        p_right, q_right, ints_right = (known_right.get(two_mr)
+                                        or _expand_node(right, postorder, spins, two_mr, memo))
+        p, q = num * p_left * p_right, den * q_left * q_right
+        if branches:
+            root = _ratio_root(p, q, p_first, q_first)
+            if root is None:
+                raise ValueError(f"branch radicands {p}/{q} and {p_first}/{q_first} "
+                                 "differ by an irrational factor")
+            a, b = root
+        else:
+            p_first, q_first, a, b = p, q, 1, 1
+        if len(ints_left) <= len(ints_right):
+            branches.append((sign * a, b, ints_left, ints_right))
+        else:
+            branches.append((sign * a, b, ints_right, ints_left))
     lcm = math.lcm(*(b for _, b, _, _ in branches))
     factors = [a * (lcm // b) for a, b, _, _ in branches]
     gcd = math.gcd(*factors)
@@ -751,30 +834,34 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
     p, q = p_first * gcd * gcd, q_first * lcm * lcm
     common = math.gcd(p, q)
     out = p // common, q // common, ints
-    if pos < len(spins) - 1:
-        memo[key] = out
+    if stored:
+        known[two_m] = out
     return out
 
 
-def _expansion(label: CoupledLabel, memo: dict[tuple, tuple]) -> StateVector:
-    """``expand`` with a subtree memo that the caller may share between
-    labels of one tree. Raises ValueError unless every leaf is a spin 1/2,
-    as the qubit basis that the expansion targets needs."""
-    postorder = label.tree._postorder
-    if any(leaf.spin != HALF for leaf in postorder[0]):
+def _check_qubit_leaves(tree: CouplingTree) -> None:
+    """Raise ValueError unless every leaf is a spin 1/2, as the qubit basis
+    that the expansion targets needs. Once per tree, not per label."""
+    if any(two_j != 1 for two_j in tree._leaf_spins):
         raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
-    n = len(postorder[0])
-    spins = (1,) * n + tuple(spin.two_j for spin in label.intermediates)
+
+
+def _expansion(label: CoupledLabel, memo: dict[tuple, dict]) -> StateVector:
+    """``expand`` with a subtree memo that the caller may share between
+    labels of one tree, whose leaves the caller has checked."""
+    postorder, spins = label.tree._postorder, label._spins
     p, q, ints = _expand_node(len(spins) - 1, postorder, spins, label.total_m.two_m, memo)
-    return StateVector(n, IntegerAmplitudes(Fraction(p, q), ints), True)
+    return StateVector(len(postorder[0]), IntegerAmplitudes(Fraction(p, q), ints), True)
 
 
 def expand(label: CoupledLabel) -> StateVector:
     """Exact product-basis expansion of one coupled state.
 
     Its subtree memo lives for this one call: a label reaches the same
-    (subtree, m) by many paths.
+    (subtree, m) by many paths. Raises ValueError unless every leaf is a
+    spin 1/2.
     """
+    _check_qubit_leaves(label.tree)
     return _expansion(label, {})
 
 
@@ -784,7 +871,8 @@ def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
     One subtree memo serves all of the tree's labels and lives for this
     call; it holds every non-root subtree expansion at once.
     """
-    memo: dict[tuple, tuple] = {}
+    _check_qubit_leaves(tree)
+    memo: dict[tuple, dict] = {}
     return [(label, _expansion(label, memo))
             for label in enumerate_multiplets(tree)]
 
@@ -795,22 +883,21 @@ def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, fl
     Each is sqrt(r_s r_t) times the integer dot product of the two
     expansions' ints, kept when nonzero and rounded once to a float. Only
     target labels with the same total S and m can appear, so only that
-    sector of the target is enumerated and expanded, with one subtree
-    memo shared over it for this call. Above MAX_DENSE_QUBITS particles,
-    whose 2**n labels could not be walked, raises ValueError first.
+    sector of the target is walked and expanded, with one subtree memo
+    shared over it for this call. Above MAX_DENSE_QUBITS particles, whose
+    2**n labels could not be walked, raises ValueError first.
     """
     if set(label.tree.particles()) != set(target.particles()):
         raise ValueError("trees must couple the same particles")
     if target.n > MAX_DENSE_QUBITS:
         raise ValueError(f"recoupling {target.n} particles walks up to 2**{target.n} "
                          f"target labels; at most {MAX_DENSE_QUBITS} particles are supported")
+    _check_qubit_leaves(target)
     source = expand(label).amplitudes
-    memo: dict[tuple, tuple] = {}
+    memo: dict[tuple, dict] = {}
     out: dict[CoupledLabel, float] = {}
-    for total, intermediates in _assignments(target.root):
-        if total != label.total_spin:
-            continue
-        target_label = CoupledLabel(target, intermediates, label.total_m)
+    for _, intermediates in _assignments(target, label.total_spin.two_j):
+        target_label = CoupledLabel(target, tuple(map(Spin, intermediates)), label.total_m)
         state = _expansion(target_label, memo).amplitudes
         small, large = sorted((source.ints, state.ints), key=len)
         dot = sum(k * large[mask] for mask, k in small.items() if mask in large)

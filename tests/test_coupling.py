@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from multiplets import coupling
 from multiplets.coupling import (
     HALF,
     CoupledLabel,
@@ -120,6 +121,22 @@ class TestCg:
             cg(HALF, SpinProjection(0), HALF, SpinProjection(1),
                Spin(1), SpinProjection(1))
 
+    def test_branch_plans_are_the_nonzero_terms_in_ascending_m(self):
+        # Every pair of doubled spins up to 12 and every (J, M) they allow.
+        for tj1, tj2 in itertools.product(range(13), repeat=2):
+            j1, j2 = Spin(tj1), Spin(tj2)
+            for j in allowed_couplings(j1, j2):
+                for m in projections(j):
+                    expected = []
+                    for m1 in reversed(projections(j1)):
+                        m2 = SpinProjection(m.two_m - m1.two_m)
+                        coeff = abs(m2.two_m) <= tj2 and cg(j1, m1, j2, m2, j, m)
+                        if coeff:
+                            radicand = coeff.radicand
+                            expected.append((m1.two_m, m2.two_m, coeff.sign,
+                                             radicand.numerator, radicand.denominator))
+                    assert coupling._branch_plan(tj1, tj2, j.two_j, m.two_m) == tuple(expected)
+
     def test_orthogonality_exact(self):
         # Sum over m1+m2=M of products for two total spins is delta_{JJ'}.
         for tj1, tj2 in itertools.product(range(0, 5), repeat=2):
@@ -176,6 +193,20 @@ class TestTrees:
             with pytest.raises(ValueError):
                 CouplingTree.parse(bad)
 
+    def test_equal_trees_stay_equal_and_hash_equal(self):
+        for n in range(2, 6):
+            for tree in all_coupling_trees(range(1, n + 1)):
+                twin = CouplingTree.parse(tree.spec())
+                assert twin is not tree and twin == tree
+                # The dataclass's own hash, taken once per tree.
+                assert hash(twin) == hash(tree) == hash((tree.root,))
+                tree._postorder
+                assert hash(tree) == hash(twin) and twin == tree
+                label = enumerate_multiplets(tree)[-1]
+                assert {label: 1}[enumerate_multiplets(twin)[-1]] == 1
+        assert CouplingTree.parse("((1 2) 3)") != CouplingTree.parse("((1 3) 2)")
+        assert len({CouplingTree.parse(spec) for spec in ["((1 2) 3)", "((1 3) 2)", "((1 2) 3)"]}) == 2
+
     def test_duplicate_particle_rejected(self):
         with pytest.raises(ValueError):
             CouplingTree(Node(Leaf(1), Leaf(1)))
@@ -185,6 +216,18 @@ class TestTrees:
         assert len(all_coupling_trees((1, 2))) == 1
         assert len(all_coupling_trees((1, 2, 3))) == 3
         assert len(all_coupling_trees((1, 2, 3, 4))) == 15
+
+
+def _assignments_by_recursion(node):
+    """(subtree spin, intermediate spins postorder) of each assignment, as
+    ``Spin``s, earlier spins descending first: the unpruned walk."""
+    if isinstance(node, Leaf):
+        yield node.spin, ()
+        return
+    for left_spin, left_inter in _assignments_by_recursion(node.left):
+        for right_spin, right_inter in _assignments_by_recursion(node.right):
+            for total in allowed_couplings(left_spin, right_spin):
+                yield total, left_inter + right_inter + (total,)
 
 
 class TestEnumerate:
@@ -205,6 +248,19 @@ class TestEnumerate:
                            (1, 0, 1), (0, 1, 1), (0, 0, 0)]
         assert len(labels) == 16
 
+    def test_a_walk_held_to_one_total_is_the_filtered_full_walk(self):
+        mixed = [CouplingTree(Node(Node(Leaf(1, Spin(2)), Leaf(2)), Node(Leaf(3, Spin(3)), Leaf(4)))),
+                 CouplingTree(Node(Node(Node(Leaf(1, Spin(4)), Leaf(2, Spin(2))), Leaf(3)), Leaf(4)))]
+        trees = [tree for n in range(2, 7) for tree in all_coupling_trees(range(1, n + 1))]
+        for tree in trees + mixed:
+            walk = [(total.two_j, tuple(spin.two_j for spin in inter))
+                    for total, inter in _assignments_by_recursion(tree.root)]
+            assert list(coupling._assignments(tree)) == walk
+            top = sum(leaf.spin.two_j for leaf in tree.leaves())
+            for two_s in range(top + 2):
+                assert list(coupling._assignments(tree, two_s)) == [
+                    (total, inter) for total, inter in walk if total == two_s]
+
     @pytest.mark.parametrize("tree,n", [(PAIR, 2), (TRIPLE, 3), (PAIR_PAIR, 4), (SEQUENTIAL, 4)])
     def test_dimension_count(self, tree, n):
         assert len(enumerate_multiplets(tree)) == 2 ** n
@@ -214,8 +270,12 @@ class TestEnumerate:
         assert [l.total_m.m for l in labels[:5]] == [2, 1, 0, -1, -2]
 
     def test_invalid_label_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"triangle rule fails at node over \(1, 2, 3, 4\)"):
             label_of(PAIR_PAIR, 1, 1, 3, 0)  # triangle violation at root
+        with pytest.raises(ValueError, match=r"triangle rule fails at node over \(1, 2\)"):
+            label_of(PAIR_PAIR, 2, 1, 1, 0)  # above the two spins' sum
+        with pytest.raises(ValueError, match=r"triangle rule fails at node over \(1, 2, 3, 4\)"):
+            label_of(PAIR_PAIR, 1, 1, "3/2", "1/2")  # parity
         with pytest.raises(ValueError):
             label_of(PAIR, 1, 2)  # m out of range
 
@@ -287,8 +347,11 @@ class TestFullBasis:
     def test_general_spin_leaf_not_expandable(self):
         tree = CouplingTree(Node(Leaf(1, Spin(2)), Leaf(2, Spin(2))))
         label = enumerate_multiplets(tree)[0]
-        with pytest.raises(ValueError):
-            expand(label)
+        qubits = enumerate_multiplets(PAIR)[0]
+        for refused in (lambda: expand(label), lambda: full_basis(tree),
+                        lambda: recouple(label, PAIR), lambda: recouple(qubits, tree)):
+            with pytest.raises(ValueError, match="needs spin-1/2 leaves"):
+                refused()
 
     def test_general_spin_multiplets_still_enumerate(self):
         tree = CouplingTree(Node(Leaf(1, Spin(2)), Leaf(2, Spin(2))))
@@ -437,3 +500,10 @@ class TestNodeNames:
         tree = CouplingTree.parse("((((((((((1 2) 3) 4) 5) 6) 7) 8) 9) 10) 11)")
         assert tree.node_names() == _names_by_walk(tree)
         assert tree.node_names()[-2] == "S1,2,3,4,5,6,7,8,9,10"
+        shuffled = CouplingTree.parse("(((12 3) (10 (1 7))) ((5 11) ((2 9) ((8 4) 6))))")
+        assert shuffled.node_names() == _names_by_walk(shuffled)
+        assert shuffled.node_names()[:3] == ("S3,12", "S17", "S1,7,10")
+
+    def test_a_single_particle_has_no_names(self):
+        tree = CouplingTree.parse("1")
+        assert tree.node_names() == _names_by_walk(tree) == ()

@@ -82,6 +82,16 @@ class TestEngineAgainstOracle:
             _assert_same(expand(label), oracle_expand.expand(label))
 
 
+@pytest.fixture
+def cold_branch_plans():
+    """``coupling._branch_plan`` reads ``_cg_doubled`` once per process and
+    keeps the plan, so a patched ``_cg_doubled`` is read only from a cold
+    plan cache: clear it before the patch and again after the test."""
+    coupling._branch_plan.cache_clear()
+    yield
+    coupling._branch_plan.cache_clear()
+
+
 class TestIntegerForm:
     @pytest.mark.parametrize("tree", SMALL_TREES + EIGHT_QUBIT_TREES, ids=str)
     def test_states_are_a_radical_times_coprime_integers(self, tree):
@@ -135,7 +145,7 @@ class TestIntegerForm:
         assert amplitudes == {mask: SignedRadical(1 if k > 0 else -1, r * k * k)
                               for mask, k in ints.items()}
 
-    def test_an_irrational_branch_ratio_is_refused(self, monkeypatch):
+    def test_an_irrational_branch_ratio_is_refused(self, monkeypatch, cold_branch_plans):
         cg = coupling._cg_doubled
 
         def skewed(*args):

@@ -291,6 +291,19 @@ class TestDenseCap:
             recouple(label, target)
         assert time.perf_counter() - start < 1.0
 
+    def test_the_stretched_label_of_twenty_four_particles_recouples_within_a_second(self):
+        # S = m = 12: the target's S = 12 sector is its one stretched label,
+        # which the walk must reach without visiting the 2**24 others.
+        tree = CouplingTree.parse(_sequential_spec(24))
+        label = CoupledLabel(tree, tuple(Spin(k) for k in range(2, 25)), SpinProjection(24))
+        target = CouplingTree.parse(_balanced_spec(list(range(1, 25))))
+        stretched = CoupledLabel(target, tuple(Spin(len(target.node_particles(node)))
+                                               for node in target.internal_nodes()),
+                                 SpinProjection(24))
+        start = time.perf_counter()
+        assert recouple(label, target) == {stretched: 1.0}
+        assert time.perf_counter() - start < 1.0
+
 
 class TestLabelText:
     def test_huge_exponent_is_one_quick_error_line(self, capsys):
