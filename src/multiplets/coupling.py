@@ -175,14 +175,15 @@ def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Sig
     if not triangle_ok(Spin(tj1), Spin(tj2), Spin(tj)):
         return SignedRadical.zero()
 
-    # Racah's closed form: a square-rooted rational prefactor times a
-    # signed rational sum, so the result is a single signed radical.
-    prefactor = (
-        Fraction(tj + 1)
+    # Racah's closed form: the square root of a rational prefactor times a
+    # signed rational sum, so the result is a single signed radical. Both
+    # are taken in ints, the sum over the lcm of its terms' denominators,
+    # and meet in one Fraction.
+    num = (
+        (tj + 1)
         * _fact2(tj1 + tj2 - tj)
         * _fact2(tj1 - tj2 + tj)
         * _fact2(-tj1 + tj2 + tj)
-        / _fact2(tj1 + tj2 + tj + 2)
         * _fact2(tj + tm)
         * _fact2(tj - tm)
         * _fact2(tj1 - tm1)
@@ -190,24 +191,25 @@ def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Sig
         * _fact2(tj2 - tm2)
         * _fact2(tj2 + tm2)
     )
+    den = _fact2(tj1 + tj2 + tj + 2)
 
     k_min = max(0, -(tj - tj2 + tm1) // 2, -(tj - tj1 - tm2) // 2)
     k_max = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
-    for k in range(k_min, k_max + 1):
-        denom = (
-            math.factorial(k)
-            * _fact2(tj1 + tj2 - tj - 2 * k)
-            * _fact2(tj1 - tm1 - 2 * k)
-            * _fact2(tj2 + tm2 - 2 * k)
-            * _fact2(tj - tj2 + tm1 + 2 * k)
-            * _fact2(tj - tj1 - tm2 + 2 * k)
-        )
-        total += Fraction(-1 if k % 2 else 1, denom)
+    terms = [
+        (-1 if k % 2 else 1,
+         math.factorial(k)
+         * _fact2(tj1 + tj2 - tj - 2 * k)
+         * _fact2(tj1 - tm1 - 2 * k)
+         * _fact2(tj2 + tm2 - 2 * k)
+         * _fact2(tj - tj2 + tm1 + 2 * k)
+         * _fact2(tj - tj1 - tm2 + 2 * k))
+        for k in range(k_min, k_max + 1)
+    ]
+    lcm = math.lcm(*(denom for _, denom in terms))
+    total = sum(sign * (lcm // denom) for sign, denom in terms)
     if total == 0:
         return SignedRadical.zero()
-    sign = 1 if total > 0 else -1
-    return SignedRadical(sign, total * total * prefactor)
+    return SignedRadical(1 if total > 0 else -1, Fraction(total * total * num, lcm * lcm * den))
 
 
 def cg(j1: Spin, m1: SpinProjection, j2: Spin, m2: SpinProjection,
