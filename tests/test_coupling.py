@@ -200,7 +200,7 @@ class TestTrees:
                 assert twin is not tree and twin == tree
                 # The dataclass's own hash, taken once per tree.
                 assert hash(twin) == hash(tree) == hash((tree.root,))
-                tree._postorder
+                tree._postorder  # cached state on one side changes neither
                 assert hash(tree) == hash(twin) and twin == tree
                 label = enumerate_multiplets(tree)[-1]
                 assert {label: 1}[enumerate_multiplets(twin)[-1]] == 1

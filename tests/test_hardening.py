@@ -293,7 +293,7 @@ class TestDenseCap:
 
     def test_the_stretched_label_of_twenty_four_particles_recouples_within_a_second(self):
         # S = m = 12: the target's S = 12 sector is its one stretched label,
-        # which the walk must reach without visiting the 2**24 others.
+        # which the walk must reach without walking the rest of its 2**24.
         tree = CouplingTree.parse(_sequential_spec(24))
         label = CoupledLabel(tree, tuple(Spin(k) for k in range(2, 25)), SpinProjection(24))
         target = CouplingTree.parse(_balanced_spec(list(range(1, 25))))
