@@ -16,7 +16,6 @@ from .coupling import (
     SpinProjection,
     StateVector,
     all_coupling_trees,
-    allowed_couplings,
     cg,
     config_from_string,
     config_to_string,

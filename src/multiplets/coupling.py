@@ -19,6 +19,9 @@ eigenvector of integer Casimirs, so it is sqrt(r) times a vector of
 coprime integers: the one form that expansions make, (r, {bitmask: k}).
 An expanded ``StateVector`` holds it as ``IntegerAmplitudes``, whose
 integers ``to_array``, the table rows, ``verify`` and ``recouple`` read.
+The radical of an (r, k) is reduced, compared and rounded only by the
+int functions of ``multiplets.exactnum``, the same ones that
+``SignedRadical`` uses, so there is one rounding of each amplitude.
 
 Two caches live for the process, both keyed by doubled spins alone: the
 CG cache (``_cg_doubled``) and the branch plans built from it
@@ -40,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .exactnum import SignedRadical
+from .exactnum import SignedRadical, radical_float, ratio_root
 
 __all__ = [
     "Spin",
@@ -48,7 +51,6 @@ __all__ = [
     "HALF",
     "projections",
     "triangle_ok",
-    "allowed_couplings",
     "cg",
     "Leaf",
     "Node",
@@ -103,10 +105,6 @@ class Spin:
     def of(cls, value) -> "Spin":
         return cls(_two_of(value))
 
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.two_j, 2)
-
     def casimir_eigenvalue(self) -> Fraction:
         """j(j+1), the squared-spin eigenvalue with hbar = 1."""
         return Fraction(self.two_j * (self.two_j + 2), 4)
@@ -152,13 +150,6 @@ def triangle_ok(j1: Spin, j2: Spin, j: Spin) -> bool:
         abs(j1.two_j - j2.two_j) <= j.two_j <= j1.two_j + j2.two_j
         and (j1.two_j + j2.two_j + j.two_j) % 2 == 0
     )
-
-
-def allowed_couplings(j1: Spin, j2: Spin) -> list[Spin]:
-    """All total spins j1 and j2 can couple to, descending."""
-    hi = j1.two_j + j2.two_j
-    lo = abs(j1.two_j - j2.two_j)
-    return [Spin(two_j) for two_j in range(hi, lo - 1, -2)]
 
 
 def _fact2(doubled: int) -> int:
@@ -284,14 +275,14 @@ class CouplingTree:
 
     @property
     def n(self) -> int:
-        return len(self.particles())
+        return len(self._postorder[0])
 
     def particles(self) -> tuple[int, ...]:
         """Leaf indices in leaf order (left to right)."""
-        return tuple(leaf.index for leaf in _walk_leaves(self.root))
+        return tuple(leaf.index for leaf in self._postorder[0])
 
     def leaves(self) -> tuple[Leaf, ...]:
-        return tuple(_walk_leaves(self.root))
+        return self._postorder[0]
 
     def internal_nodes(self) -> tuple[Node, ...]:
         return tuple(_walk_nodes(self.root))
@@ -353,7 +344,7 @@ class CouplingTree:
         subtree's internal nodes are contiguous and end at its own position
         p, so ``spins[first:p + 1]`` is its whole intermediate assignment.
         """
-        leaves = self.leaves()
+        leaves = tuple(_walk_leaves(self.root))
         n = len(leaves)
         position = {id(leaf): k for k, leaf in enumerate(leaves)}
         nodes: list[tuple[int, int, int]] = []
@@ -531,23 +522,6 @@ def config_from_string(s: str) -> int:
 _NORM_TOL = 1e-12
 
 
-def _amp_parts(p: int, q: int, k: int) -> tuple[int, int, int, tuple[int, int] | None]:
-    """sqrt(p/q) * k, p/q in lowest terms, as its sign, its radicand
-    p k^2 / q in lowest terms (num, den), and (a, b) with a/b its absolute
-    value when that is rational, else None. Only k^2 and q share factors."""
-    g = math.gcd(k * k, q)
-    num, den = p * (k * k // g), q // g
-    a, b = math.isqrt(num), math.isqrt(den)
-    return 1 if k > 0 else -1, num, den, (a, b) if a * a == num and b * b == den else None
-
-
-def _amp_float(p: int, q: int, k: int) -> float:
-    """sqrt(p/q) * k as the float that ``SignedRadical.to_float`` gives:
-    an int division rounds correctly, as ``Fraction.__float__`` does."""
-    sign, num, den, root = _amp_parts(p, q, k)
-    return sign * (root[0] / root[1] if root else math.sqrt(num / den))
-
-
 class IntegerAmplitudes(Mapping):
     """Read-only mapping from mask to ``SignedRadical`` over the engine's
     form sqrt(radicand) * ints[mask], the ints nonzero and coprime. ``len``,
@@ -628,7 +602,8 @@ class StateVector:
             object.__setattr__(self, "amplitudes", cleaned)
         if self.exact and norm2 != 1:
             raise ValueError(f"exact state has norm^2 = {norm2}, expected 1")
-        if not self.exact and abs(norm2 - 1.0) > _NORM_TOL:
+        # Written so that a NaN norm fails it.
+        if not self.exact and not abs(norm2 - 1.0) <= _NORM_TOL:
             raise ValueError(f"numeric state has norm^2 = {norm2!r}, expected 1")
 
     @classmethod
@@ -643,7 +618,8 @@ class StateVector:
     def from_array(cls, array: np.ndarray) -> "StateVector":
         """Numeric state from a dense array in up-first basis order.
 
-        Amplitudes of magnitude at most 1e-15 are dropped.
+        Amplitudes of magnitude at most 1e-15 are dropped; a NaN is kept,
+        so that the norm check refuses it.
         """
         array = np.asarray(array).ravel()
         n = int(array.size).bit_length() - 1
@@ -652,7 +628,7 @@ class StateVector:
         amps = {
             dense_index(i, n): complex(a)
             for i, a in enumerate(array)
-            if abs(a) > 1e-15
+            if not abs(a) <= 1e-15
         }
         return cls.numeric_state(n, amps)
 
@@ -661,9 +637,9 @@ class StateVector:
         return sorted(self.amplitudes.items(), reverse=True)
 
     def to_array(self) -> np.ndarray:
-        """Dense complex array in up-first basis order. An exact state
-        converts each distinct value once, through ``SignedRadical.to_float``,
-        or, for an engine state, each distinct k through ``_amp_float``.
+        """Dense complex array in up-first basis order. Each distinct exact
+        value is rounded once, by ``exactnum.radical_float``: an engine
+        state's from its (r, k), any other through ``SignedRadical.to_float``.
         Raises ValueError above MAX_DENSE_QUBITS particles."""
         if self.n > MAX_DENSE_QUBITS:
             raise ValueError(
@@ -674,7 +650,7 @@ class StateVector:
         amps = self.amplitudes
         if isinstance(amps, IntegerAmplitudes):
             p, q, amps = amps.radicand.numerator, amps.radicand.denominator, amps.ints
-            value = functools.cache(lambda k: _amp_float(p, q, k))
+            value = functools.cache(lambda k: radical_float(p, q, k))
         else:
             value = functools.cache(SignedRadical.to_float) if self.exact else complex
         count = len(amps)
@@ -735,15 +711,6 @@ def enumerate_multiplets(tree: CouplingTree) -> list[CoupledLabel]:
         for two_m in range(total, -total - 1, -2):
             labels.append(CoupledLabel(tree, spins, SpinProjection(two_m)))
     return labels
-
-
-def _ratio_root(p: int, q: int, p_first: int, q_first: int) -> tuple[int, int] | None:
-    """(a, b) with (a/b)^2 = (p/q) / (p_first/q_first), or None when that
-    ratio is no rational square: the package's one test of whether two
-    radicals are rational multiples of each other. One ``isqrt``."""
-    b = q * p_first
-    a = math.isqrt(p * q_first * b)
-    return (a, b) if a * a == p * q_first * b else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -812,7 +779,7 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
                                         or _expand_node(right, postorder, spins, two_mr, memo))
         p, q = num * p_left * p_right, den * q_left * q_right
         if branches:
-            root = _ratio_root(p, q, p_first, q_first)
+            root = ratio_root(p, q, p_first, q_first)
             if root is None:
                 raise ValueError(f"branch radicands {p}/{q} and {p_first}/{q_first} "
                                  "differ by an irrational factor")
@@ -905,5 +872,5 @@ def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, fl
         dot = sum(k * large[mask] for mask, k in small.items() if mask in large)
         if dot:
             r = source.radicand * state.radicand
-            out[target_label] = _amp_float(r.numerator, r.denominator, dot)
+            out[target_label] = radical_float(r.numerator, r.denominator, dot)
     return out

@@ -2,10 +2,15 @@
 
 Every amplitude in a coupled-basis expansion is a single product of
 Clebsch-Gordan coefficients, hence a signed square root of a rational.
-This module provides that one value type: it multiplies, negates, floats,
-prints and round-trips through JSON. It does not add: a sum of coupled
-amplitudes is formed on integers, as ``sqrt(r)`` times an integer
-combination (``multiplets.coupling``, ``multiplets.operators``).
+This module is the one place that reduces, tests, rounds and prints that
+number, by four functions on ints: ``radical_parts``, ``ratio_root``,
+``radical_float`` and ``radical_text``. The engine, the table rows and
+``recouple`` call them on integer forms (r, k), and :class:`SignedRadical`
+on its own sign and radicand, so each value has one float and one text.
+``SignedRadical`` multiplies, negates, floats, prints and round-trips
+through JSON. It does not add: a sum of coupled amplitudes is formed on
+integers, as ``sqrt(r)`` times an integer combination
+(``multiplets.coupling``, ``multiplets.operators``).
 :meth:`SignedRadical.as_rational` raises :class:`NotClosedError` for an
 irrational value.
 """
@@ -16,16 +21,54 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["NotClosedError", "SignedRadical"]
+__all__ = [
+    "NotClosedError",
+    "SignedRadical",
+    "radical_float",
+    "radical_parts",
+    "radical_text",
+    "ratio_root",
+]
 
 
 class NotClosedError(ArithmeticError):
     """The exact result is not of the form sign * sqrt(p/q)."""
 
 
-def _is_square(r: Fraction) -> bool:
-    p, q = r.numerator, r.denominator
-    return math.isqrt(p) ** 2 == p and math.isqrt(q) ** 2 == q
+def radical_parts(p: int, q: int, k: int) -> tuple[int, int, int, tuple[int, int] | None]:
+    """sqrt(p/q) * k, p/q in lowest terms and k nonzero, as its sign, its
+    radicand p k^2 / q in lowest terms (num, den), and (a, b) with a/b its
+    absolute value when that is rational, else None. Only k^2 and q share
+    factors."""
+    g = math.gcd(k * k, q)
+    num, den = p * (k * k // g), q // g
+    a, b = math.isqrt(num), math.isqrt(den)
+    return 1 if k > 0 else -1, num, den, (a, b) if a * a == num and b * b == den else None
+
+
+def radical_float(p: int, q: int, k: int) -> float:
+    """The nearest double to sqrt(p/q) * k, k nonzero: exact division when
+    the value is rational, else one ``math.sqrt`` of the correctly rounded
+    radicand. Int division rounds correctly, as ``Fraction.__float__`` does."""
+    sign, num, den, root = radical_parts(p, q, k)
+    return sign * (root[0] / root[1] if root else math.sqrt(num / den))
+
+
+def radical_text(num: int, den: int, root: tuple[int, int] | None) -> str:
+    """The unsigned text of sqrt(num/den), from ``radical_parts``: "a" or
+    "a/b" when ``root`` is (a, b), else "sqrt(num)" or "sqrt(num/den)"."""
+    p, q = root or (num, den)
+    text = str(p) if q == 1 else f"{p}/{q}"
+    return text if root else "sqrt(" + text + ")"
+
+
+def ratio_root(p: int, q: int, p_first: int, q_first: int) -> tuple[int, int] | None:
+    """(a, b) with (a/b)^2 = (p/q) / (p_first/q_first), or None when that
+    ratio is no rational square: the package's one test of whether two
+    radicals are rational multiples of each other. One ``isqrt``."""
+    b = q * p_first
+    a = math.isqrt(p * q_first * b)
+    return (a, b) if a * a == p * q_first * b else None
 
 
 @dataclass(frozen=True)
@@ -42,8 +85,8 @@ class SignedRadical:
     radicand: Fraction
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
+        if type(self.sign) is not int or self.sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be the int -1, 0 or +1, got {self.sign!r}")
         if not isinstance(self.radicand, Fraction):
             object.__setattr__(self, "radicand", Fraction(self.radicand))
         if self.radicand < 0:
@@ -56,24 +99,12 @@ class SignedRadical:
         return cls(0, Fraction(0))
 
     @classmethod
-    def one(cls) -> "SignedRadical":
-        return cls(1, Fraction(1))
-
-    @classmethod
     def sqrt(cls, radicand: Fraction | int, sign: int = 1) -> "SignedRadical":
         """sign * sqrt(radicand) for a non-negative rational radicand."""
         radicand = Fraction(radicand)
         if radicand == 0:
             return cls.zero()
         return cls(sign, radicand)
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "SignedRadical":
-        """The rational ``value`` itself, stored as sign * sqrt(value**2)."""
-        value = Fraction(value)
-        if value == 0:
-            return cls.zero()
-        return cls(1 if value > 0 else -1, value * value)
 
     def __hash__(self) -> int:
         # The radicand is in lowest terms, so its two integers identify it;
@@ -98,25 +129,24 @@ class SignedRadical:
         """The exact square; equals the radicand for any valid value."""
         return self.radicand
 
-    def is_rational(self) -> bool:
-        return self.sign == 0 or _is_square(self.radicand)
+    def _parts(self) -> tuple[int, int, int, tuple[int, int] | None]:
+        """``radical_parts`` of a nonzero value: k is the sign."""
+        return radical_parts(self.radicand.numerator, self.radicand.denominator, self.sign)
 
     def as_rational(self) -> Fraction:
         """Exact rational value; raises NotClosedError when irrational."""
         if self.sign == 0:
             return Fraction(0)
-        if not _is_square(self.radicand):
+        root = self._parts()[3]
+        if root is None:
             raise NotClosedError(f"{self} is irrational")
-        p, q = self.radicand.numerator, self.radicand.denominator
-        return Fraction(self.sign * math.isqrt(p), math.isqrt(q))
+        return Fraction(self.sign * root[0], root[1])
 
     def to_float(self) -> float:
-        """Nearest double; exact whenever the radicand is a perfect square."""
+        """Nearest double, by ``radical_float``."""
         if self.sign == 0:
             return 0.0
-        if _is_square(self.radicand):
-            return float(self.as_rational())
-        return self.sign * math.sqrt(float(self.radicand))
+        return radical_float(self.radicand.numerator, self.radicand.denominator, self.sign)
 
     def to_json_dict(self) -> dict:
         """JSON form {"sign": s, "num": "p", "den": "q"} for sign*sqrt(p/q)."""
@@ -143,10 +173,8 @@ class SignedRadical:
     def __str__(self) -> str:
         if self.sign == 0:
             return "0"
-        prefix = "-" if self.sign < 0 else ""
-        if _is_square(self.radicand):
-            return prefix + str(abs(self.as_rational()))
-        return f"{prefix}sqrt({self.radicand})"
+        sign, num, den, root = self._parts()
+        return ("-" if sign < 0 else "") + radical_text(num, den, root)
 
     def __repr__(self) -> str:
         return f"SignedRadical({self.sign}, {self.radicand!r})"

@@ -26,12 +26,12 @@ from .coupling import (
     CouplingTree,
     IntegerAmplitudes,
     StateVector,
-    _amp_parts,
     _half_text,
     config_to_string,
     expand,
     full_basis,
 )
+from .exactnum import radical_parts, radical_text
 from .measures import (
     MAX_SEARCH_QUBITS,
     MeasurementBasis,
@@ -56,17 +56,12 @@ __all__ = [
 # Amplitude, ket and label pieces
 
 
-def _ratio_text(p: int, q: int) -> str:
-    return str(p) if q == 1 else f"{p}/{q}"
-
-
 def _ratio_latex(p: int, q: int) -> str:
     return str(p) if q == 1 else rf"\tfrac{{{p}}}{{{q}}}"
 
 
 def _amp_text(sign: int, num: int, den: int, root) -> str:
-    value = _ratio_text(*root) if root else "sqrt(" + _ratio_text(num, den) + ")"
-    return ("+" if sign > 0 else "-") + value
+    return ("+" if sign > 0 else "-") + radical_text(num, den, root)
 
 
 def _amp_latex(sign: int, num: int, den: int, root) -> str:
@@ -127,8 +122,8 @@ def _terms(amplitudes: IntegerAmplitudes, amps: _Pieces, kets: _Pieces) -> tuple
 
 
 def _amp_pieces(write) -> _Pieces:
-    """``amps[p, q][k]``: ``write`` of the ``_amp_parts`` of sqrt(p/q) * k."""
-    return _Pieces(lambda pq: _Pieces(lambda k: write(*_amp_parts(*pq, k))))
+    """``amps[p, q][k]``: ``write`` of the ``radical_parts`` of sqrt(p/q) * k."""
+    return _Pieces(lambda pq: _Pieces(lambda k: write(*radical_parts(*pq, k))))
 
 
 # --------------------------------------------------------------------------

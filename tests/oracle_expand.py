@@ -13,6 +13,8 @@ amplitude dicts from both.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from multiplets.coupling import HALF, CoupledLabel, StateVector, _cg_doubled
 from multiplets.exactnum import SignedRadical
 
@@ -30,7 +32,7 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
     """
     leaves, nodes = postorder
     if pos < len(leaves):
-        return {((leaves[pos].index, two_m),): SignedRadical.one()}
+        return {((leaves[pos].index, two_m),): SignedRadical(1, Fraction(1))}
     left, right, first = nodes[pos - len(leaves)]
     key = (pos, spins[first:pos + 1], two_m)
     out = memo.get(key)

@@ -15,6 +15,7 @@ amplitude) term tuples, each label value is parsed back through
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from multiplets.coupling import (
@@ -38,11 +39,16 @@ def _frac_latex(value) -> str:
     return rf"\tfrac{{{value.numerator}}}{{{value.denominator}}}"
 
 
+def _is_rational(amp: SignedRadical) -> bool:
+    p, q = amp.radicand.numerator, amp.radicand.denominator
+    return math.isqrt(p) ** 2 == p and math.isqrt(q) ** 2 == q
+
+
 def _amp_latex(amp: SignedRadical) -> str:
     if amp.sign == 0:
         return "0"
     sign = "-" if amp.sign < 0 else "+"
-    if amp.is_rational():
+    if _is_rational(amp):
         return sign + _frac_latex(abs(amp.as_rational()))
     return sign + rf"\sqrt{{{_frac_latex(amp.radicand)}}}"
 

@@ -30,7 +30,7 @@ def rad(text: str) -> SignedRadical:
         text = text[1:]
     if text.startswith("sqrt(") and text.endswith(")"):
         return SignedRadical.sqrt(Fraction(text[5:-1]), sign)
-    return SignedRadical.from_rational(sign * Fraction(text))
+    return SignedRadical.sqrt(Fraction(text) ** 2, sign)
 
 
 @dataclass(frozen=True)

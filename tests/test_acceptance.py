@@ -7,6 +7,7 @@ pass/fail lines alongside the pytest output.
 import itertools
 import json
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 
@@ -157,7 +158,7 @@ def test_criterion_5_unitarity_and_dimensions():
                         if c in b.amplitudes
                     ]
                     inner = radical_sum(terms)
-                    expected = SignedRadical.one() if a is b else SignedRadical.zero()
+                    expected = SignedRadical(1, Fraction(1)) if a is b else SignedRadical.zero()
                     assert inner == expected
 
 

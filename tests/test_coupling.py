@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from multiplets.coupling import (
     SpinProjection,
     StateVector,
     all_coupling_trees,
-    allowed_couplings,
     cg,
     config_from_string,
     config_to_string,
@@ -44,7 +44,16 @@ def rad(text):
         text = text[1:]
     if text.startswith("sqrt(") and text.endswith(")"):
         return SignedRadical.sqrt(Fraction(text[5:-1]), sign)
-    return SignedRadical.from_rational(sign * Fraction(text))
+    return SignedRadical.sqrt(Fraction(text) ** 2, sign)
+
+
+def allowed_couplings(j1, j2):
+    """The total spins that j1 and j2 couple to, descending, by ``triangle_ok``."""
+    return [Spin(t) for t in range(j1.two_j + j2.two_j, -1, -1) if triangle_ok(j1, j2, Spin(t))]
+
+
+def j_of(spin):
+    return Fraction(spin.two_j, 2)
 
 
 def amp_map(state):
@@ -69,7 +78,7 @@ def label_of(tree, *values):
 class TestSpinTypes:
     def test_spin_value(self):
         assert Spin.of("3/2").two_j == 3
-        assert Spin.of(2).j == 2
+        assert j_of(Spin.of(2)) == 2
         assert str(HALF) == "1/2"
 
     def test_negative_spin_rejected(self):
@@ -114,7 +123,7 @@ class TestCg:
         j_top = Spin(two_j1 + two_j2)
         assert cg(Spin(two_j1), SpinProjection(two_j1),
                   Spin(two_j2), SpinProjection(two_j2),
-                  j_top, SpinProjection(j_top.two_j)) == SignedRadical.one()
+                  j_top, SpinProjection(j_top.two_j)) == SignedRadical(1, Fraction(1))
 
     def test_parity_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -154,7 +163,7 @@ class TestCg:
                         terms.append(cg(j1, m1, j2, m2, j_a, m_total)
                                      * cg(j1, m1, j2, m2, j_b, m_total))
                     total = radical_sum(terms)
-                    expected = SignedRadical.one() if j_a == j_b else SignedRadical.zero()
+                    expected = SignedRadical(1, Fraction(1)) if j_a == j_b else SignedRadical.zero()
                     assert total == expected
 
 
@@ -207,6 +216,17 @@ class TestTrees:
         assert CouplingTree.parse("((1 2) 3)") != CouplingTree.parse("((1 3) 2)")
         assert len({CouplingTree.parse(spec) for spec in ["((1 2) 3)", "((1 3) 2)", "((1 2) 3)"]}) == 2
 
+    def test_leaf_reads_use_the_cached_walk(self, monkeypatch):
+        trees = [tree for n in range(1, 6) for tree in all_coupling_trees(range(1, n + 1))]
+        walked = [tuple(coupling._walk_leaves(tree.root)) for tree in trees]
+        for tree in trees:
+            tree._postorder
+        monkeypatch.setattr(coupling, "_walk_leaves", None)
+        for tree, leaves in zip(trees, walked):
+            assert tree.leaves() == leaves
+            assert tree.particles() == tuple(leaf.index for leaf in leaves)
+            assert tree.n == len(leaves)
+
     def test_duplicate_particle_rejected(self):
         with pytest.raises(ValueError):
             CouplingTree(Node(Leaf(1), Leaf(1)))
@@ -233,7 +253,7 @@ def _assignments_by_recursion(node):
 class TestEnumerate:
     def test_two_qubit_multiplets(self):
         labels = enumerate_multiplets(PAIR)
-        assert [(l.intermediates[-1].j, l.total_m.m) for l in labels] == [
+        assert [(j_of(l.intermediates[-1]), l.total_m.m) for l in labels] == [
             (1, 1), (1, 0), (1, -1), (0, 0)
         ]
 
@@ -241,7 +261,7 @@ class TestEnumerate:
         labels = enumerate_multiplets(PAIR_PAIR)
         triples = []
         for label in labels:
-            t = tuple(s.j for s in label.intermediates)
+            t = tuple(map(j_of, label.intermediates))
             if t not in triples:
                 triples.append(t)
         assert triples == [(1, 1, 2), (1, 1, 1), (1, 1, 0),
@@ -320,7 +340,7 @@ def gram_is_identity(tree):
             if other is not None:
                 terms.append(amp * other)
         inner = radical_sum(terms)
-        expected = SignedRadical.one() if a is b else SignedRadical.zero()
+        expected = SignedRadical(1, Fraction(1)) if a is b else SignedRadical.zero()
         if inner != expected:
             return False
     return True
@@ -418,9 +438,29 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector.numeric_state(1, {0: 0.9, 1: 0.1})
 
+    @pytest.mark.parametrize("nan", [math.nan, complex(math.nan, 0), complex(0, math.nan)],
+                             ids=["real", "complex_re", "complex_im"])
+    def test_nan_amplitude_rejected(self, nan):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector.numeric_state(2, {0: nan, 3: 1.0})
+
+    def test_from_array_keeps_nan_for_the_norm_check(self):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector.from_array(np.array([math.nan, 1, 0, 0]))
+
+    @pytest.mark.parametrize("sign", [1, -1, True, 1.0], ids=["one", "minus_one", "true", "float"])
+    def test_accepted_signs_round_trip_through_a_state_file(self, sign):
+        # An amplitude the constructor accepts must come back from its file.
+        try:
+            amp = SignedRadical(sign, Fraction(1))
+        except ValueError:
+            return
+        state = StateVector.exact_state(1, {1 if sign > 0 else 0: amp})
+        assert parse_state_file(emit_state_file(state)) == state
+
     def test_zero_amplitudes_dropped(self):
         state = StateVector.exact_state(
-            1, {1: SignedRadical.one(), 0: SignedRadical.zero()}
+            1, {1: SignedRadical(1, Fraction(1)), 0: SignedRadical.zero()}
         )
         assert list(state.amplitudes) == [1]
 
@@ -433,7 +473,7 @@ class TestStateVector:
 
     def test_dense_order_puts_all_up_first(self):
         state = StateVector.exact_state(
-            2, {config_from_string("uu"): SignedRadical.one()}
+            2, {config_from_string("uu"): SignedRadical(1, Fraction(1))}
         )
         assert state.to_array()[0] == 1.0 + 0j
 

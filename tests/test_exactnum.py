@@ -15,6 +15,11 @@ def sqrt_of(p, q=1, sign=1):
     return SignedRadical.sqrt(Fraction(p, q), sign)
 
 
+def rational(value):
+    """The rational ``value`` as sign * sqrt(value**2)."""
+    return SignedRadical.sqrt(value * value, 1 if value >= 0 else -1)
+
+
 class TestConstruction:
     def test_zero_is_canonical(self):
         assert SignedRadical.zero() == SignedRadical(0, Fraction(0))
@@ -33,6 +38,15 @@ class TestConstruction:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             SignedRadical(2, Fraction(1))
+
+    @pytest.mark.parametrize("sign", [True, False, 1.0], ids=["true", "false", "float"])
+    def test_non_int_sign_rejected(self, sign):
+        # True == 1, so a bool sign would compare equal to the int one and
+        # be written to JSON as true, which from_json_dict refuses.
+        with pytest.raises(ValueError, match="sign"):
+            SignedRadical(sign, Fraction(1) if sign else Fraction(0))
+        with pytest.raises(ValueError, match="sign"):
+            SignedRadical.sqrt(Fraction(1, 2), sign)
 
     def test_sqrt_of_zero_collapses_sign(self):
         assert SignedRadical.sqrt(Fraction(0), sign=-1) == SignedRadical.zero()
@@ -142,7 +156,7 @@ def test_product_matches_float_product(ra, rb, sa, sb):
 
 @given(rationals)
 def test_square_of_rational_floats_exactly(r):
-    radical = SignedRadical.from_rational(r)
+    radical = rational(r)
     assert radical.to_float() == float(abs(r)) * (1 if r >= 0 else -1)
     assert radical.squared() == r * r
 
@@ -170,7 +184,7 @@ def test_addition_commutes_when_closed(ra, rb, sa, sb):
 def test_addition_associates_on_shared_class(base, c1, c2, c3):
     # Rational multiples of one radical stay closed under every grouping.
     def scaled(c):
-        return SignedRadical.from_rational(c) * SignedRadical.sqrt(base)
+        return rational(c) * SignedRadical.sqrt(base)
 
     a, b, c = scaled(c1), scaled(c2), scaled(c3)
     assert add(add(a, b), c) == add(a, add(b, c)) == add(a, b, c)
@@ -197,7 +211,7 @@ class TestFormatting:
     def test_rational_renders_without_sqrt(self):
         assert str(sqrt_of(1, 4)) == "1/2"
         assert str(sqrt_of(1, 4, -1)) == "-1/2"
-        assert str(SignedRadical.one()) == "1"
+        assert str(SignedRadical(1, Fraction(1))) == "1"
 
     def test_irrational_renders_with_sqrt(self):
         assert str(sqrt_of(2, 3, -1)) == "-sqrt(2/3)"

@@ -6,11 +6,11 @@ each state as ``StateVector(n, IntegerAmplitudes(r, ints), True)``. It
 must give exactly the states that the engine on ``SignedRadical`` objects
 gives, ``tests/oracle_expand.py``: the same configurations with equal
 values. The integer form must hold on every state, ``to_array`` must give
-the float of each amplitude bit for bit, ``coupling._amp_float`` must
-round each (r, k) as ``SignedRadical.to_float`` does, ``IntegerAmplitudes``
-must build each radical only when it is read, and ``StateVector`` must
-check the norm and range of the integer form as it checks any other
-amplitudes.
+the float of each amplitude bit for bit, ``exactnum.radical_float`` must
+round each (r, k) of the engine as ``tests/oracle_radical.py`` does,
+``IntegerAmplitudes`` must build each radical only when it is read, and
+``StateVector`` must check the norm and range of the integer form as it
+checks any other amplitudes.
 """
 
 import math
@@ -31,10 +31,11 @@ from multiplets.coupling import (
     expand,
     full_basis,
 )
-from multiplets.exactnum import SignedRadical
+from multiplets.exactnum import SignedRadical, radical_float
 from multiplets.registry import named_state
 
 import oracle_expand
+import oracle_radical
 from test_recouple_oracle import _balanced, _sequential
 
 
@@ -121,8 +122,8 @@ class TestIntegerForm:
                  for _, state in full_basis(tree) for k in state.amplitudes.ints.values()}
         assert len(parts) == 2188
         for r, k in parts:
-            want = SignedRadical(1 if k > 0 else -1, r * k * k).to_float()
-            assert coupling._amp_float(r.numerator, r.denominator, k).hex() == want.hex()
+            want = oracle_radical.to_float(1 if k > 0 else -1, r * k * k)
+            assert radical_float(r.numerator, r.denominator, k).hex() == want.hex()
 
     def test_amplitudes_are_built_on_first_use(self, monkeypatch):
         state = expand(enumerate_multiplets(_sequential(4))[5])

@@ -30,6 +30,10 @@ from multiplets.coupling import (
 import oracle_recouple
 
 
+def _j(spin):
+    return Fraction(spin.two_j, 2)
+
+
 def _bits(coefficients):
     """(label, float bits) in dict order: equal only for bit-equal floats."""
     return [(label, coeff.hex()) for label, coeff in coefficients.items()]
@@ -172,8 +176,8 @@ def test_single_rotation_matches_six_j(parts):
     assert isinstance(bc_node, Node)
     for label in enumerate_multiplets(source):
         spins = _node_spins(label)
-        a, b, c = (spins[node].j for node in (a_node, b_node, c_node))
-        j_ab, total = spins[source.root.left].j, label.total_spin.j
+        a, b, c = (_j(spins[node]) for node in (a_node, b_node, c_node))
+        j_ab, total = _j(spins[source.root.left]), _j(label.total_spin)
         coefficients = recouple(label, target)
         expected = {}
         for two_j_bc in range(int(2 * abs(b - c)), int(2 * (b + c)) + 1, 2):
@@ -189,7 +193,7 @@ def test_single_rotation_matches_six_j(parts):
             shared = spins.keys() & target_spins.keys()
             assert {a_node, b_node, c_node} <= shared
             assert all(target_spins[node] == spins[node] for node in shared)
-            got[target_spins[bc_node].j] = coeff
+            got[_j(target_spins[bc_node])] = coeff
         assert got.keys() == expected.keys()
         for j_bc, value in expected.items():
             assert got[j_bc] == pytest.approx(value, abs=1e-12)
