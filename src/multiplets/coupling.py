@@ -11,14 +11,15 @@ per tree), so neither hashes ``Node``s. Expansion recurses top-down, and a
 memo keyed by (position, the subtree's doubled spins) holds each subtree
 expansion by 2m, except the root's. The memo lives for one call: one
 label in ``expand``, every label of the tree in ``full_basis``, the
-target's (S, m) sector in ``recouple``. The price is memory, since
+target's S sector at m = S in ``recouple``. The price is memory, since
 ``full_basis`` holds every non-root subtree expansion until it returns.
 
 Each coupled state, of a subtree or of the tree, is the only common
 eigenvector of integer Casimirs, so it is sqrt(r) times a vector of
 coprime integers: the one form that expansions make, (r, {bitmask: k}).
 An expanded ``StateVector`` holds it as ``IntegerAmplitudes``, whose
-integers ``to_array``, the table rows, ``verify`` and ``recouple`` read.
+integers ``to_array``, the table rows, ``verify`` and ``recouple`` read;
+``recouple`` takes each target's (p, q, ints) straight from the engine.
 The radical of an (r, k) is reduced, compared and rounded only by the
 int functions of ``multiplets.exactnum``, the same ones that
 ``SignedRadical`` uses, so there is one rounding of each amplitude.
@@ -360,6 +361,14 @@ class CouplingTree:
         """The leaves' doubled spins, in leaf order."""
         return tuple(leaf.spin.two_j for leaf in self._postorder[0])
 
+    @functools.cached_property
+    def _checked_spins(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each intermediate assignment (doubled, postorder) whose triangle
+        rules ``CoupledLabel`` has checked on this tree, mapped to its
+        doubled spins by position: the 2S + 1 members of a multiplet check
+        their assignment once and share one tuple."""
+        return {}
+
     # A tree is immutable, so its hash, the dataclass's own hash((root,)),
     # is taken once rather than through every Node and Leaf at each lookup.
     def __hash__(self) -> int:
@@ -464,15 +473,20 @@ class CoupledLabel:
             raise ValueError(
                 f"need {len(nodes)} intermediate spins, got {len(self.intermediates)}"
             )
-        spins = self.tree._leaf_spins + tuple(map(_TWO_J, self.intermediates))
-        for pos, (left, right, _) in enumerate(nodes, len(leaves)):
-            two_l, two_r, two_j = spins[left], spins[right], spins[pos]
-            # The triangle rule of ``triangle_ok``, on the doubled ints.
-            if not abs(two_l - two_r) <= two_j <= two_l + two_r or (two_l + two_r + two_j) % 2:
-                node = self.tree.internal_nodes()[pos - len(leaves)]
-                raise ValueError(
-                    f"triangle rule fails at node over {self.tree.node_particles(node)}"
-                )
+        twos = tuple(map(_TWO_J, self.intermediates))
+        checked = self.tree._checked_spins
+        spins = checked.get(twos)
+        if spins is None:
+            spins = self.tree._leaf_spins + twos
+            for pos, (left, right, _) in enumerate(nodes, len(leaves)):
+                two_l, two_r, two_j = spins[left], spins[right], spins[pos]
+                # The triangle rule of ``triangle_ok``, on the doubled ints.
+                if not abs(two_l - two_r) <= two_j <= two_l + two_r or (two_l + two_r + two_j) % 2:
+                    node = self.tree.internal_nodes()[pos - len(leaves)]
+                    raise ValueError(
+                        f"triangle rule fails at node over {self.tree.node_particles(node)}"
+                    )
+            checked[twos] = spins
         _check_jm(self.total_spin, self.total_m)
         object.__setattr__(self, "_spins", spins)
 
@@ -849,12 +863,19 @@ def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
 def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, float]:
     """Coefficients of a coupled state in another tree's coupled basis.
 
-    Each is sqrt(r_s r_t) times the integer dot product of the two
-    expansions' ints, kept when nonzero and rounded once to a float. Only
-    target labels with the same total S and m can appear, so only that
-    sector of the target is walked and expanded, with one subtree memo
-    shared over it for this call. Above MAX_DENSE_QUBITS particles, whose
-    2**n labels could not be walked, raises ValueError first.
+    Only target labels with the same total S and m can appear, and their
+    coefficients, Racah's recoupling coefficients, do not depend on m. So
+    both sides are taken at the stretched member m = S, whose sector has
+    the fewest configurations: the source through ``expand``, and each
+    target label of the S sector straight from the engine, with one
+    subtree memo shared over them for this call. Each coefficient is
+    sqrt(r_s r_t) times the integer dot product of the two forms, kept
+    when nonzero, rounded once to a float and keyed by the target label at
+    the source's m. Raises ValueError above MAX_DENSE_QUBITS particles,
+    whose 2**n labels could not be walked, before expanding anything; when
+    a target form is out of range or not of norm 1; and unless the squared
+    coefficients sum to exactly 1, as they must for a state of the
+    target's (S, S) sector (Parseval).
     """
     if set(label.tree.particles()) != set(target.particles()):
         raise ValueError("trees must couple the same particles")
@@ -862,15 +883,32 @@ def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, fl
         raise ValueError(f"recoupling {target.n} particles walks up to 2**{target.n} "
                          f"target labels; at most {MAX_DENSE_QUBITS} particles are supported")
     _check_qubit_leaves(target)
-    source = expand(label).amplitudes
+    two_s = label.total_spin.two_j
+    source = expand(CoupledLabel(label.tree, label.intermediates, SpinProjection(two_s))).amplitudes
+    p_source, q_source = source.radicand.numerator, source.radicand.denominator
+    postorder, leaf_spins = target._postorder, target._leaf_spins
+    n = len(postorder[0])
+    root = n + len(postorder[1]) - 1
+    spin = functools.cache(Spin)  # for this call: labels share their Spins
     memo: dict[tuple, dict] = {}
     out: dict[CoupledLabel, float] = {}
-    for _, intermediates in _assignments(target, label.total_spin.two_j):
-        target_label = CoupledLabel(target, tuple(map(Spin, intermediates)), label.total_m)
-        state = _expansion(target_label, memo).amplitudes
-        small, large = sorted((source.ints, state.ints), key=len)
+    norm2 = Fraction(0)
+    for _, intermediates in _assignments(target, two_s):
+        p, q, ints = _expand_node(root, postorder, leaf_spins + intermediates, two_s, memo)
+        # The checks that ``StateVector`` makes on an engine state, in ints.
+        if min(ints) < 0 or max(ints) >= 1 << n:
+            raise ValueError(f"configuration out of range for {n} particles")
+        ks = ints.values()
+        squares = sum(map(operator.mul, ks, ks)) * p
+        if squares != q:
+            raise ValueError(f"target state has norm^2 = {Fraction(squares, q)}, expected 1")
+        small, large = sorted((source.ints, ints), key=len)
         dot = sum(k * large[mask] for mask, k in small.items() if mask in large)
         if dot:
-            r = source.radicand * state.radicand
+            r = Fraction(p_source * p, q_source * q)
+            target_label = CoupledLabel(target, tuple(map(spin, intermediates)), label.total_m)
             out[target_label] = radical_float(r.numerator, r.denominator, dot)
+            norm2 += r * (dot * dot)
+    if norm2 != 1:
+        raise ValueError(f"recoupling coefficients have squared sum {norm2}, expected 1")
     return out

@@ -4,7 +4,8 @@ The schema is
     {"n": 2, "flavor": "exact" | "numeric",
      "amplitudes": [{"config": "ud", "amp": ...}, ...]}
 where configs are u/d strings with particle 1 first, exact amplitudes are
-signed-radical dicts and numeric ones are {"re": x, "im": y}. Emission
+signed-radical dicts and numeric ones are {"re": x, "im": y} with x and y
+finite JSON numbers (not bools or strings). Emission
 sorts configs descending (all-up first) so output is byte-stable, and
 parsing rejects non-normalized data rather than renormalizing.
 """
@@ -78,9 +79,12 @@ def _parse_amp(raw: object, flavor: str) -> object:
             raise StateFileError(str(exc)) from exc
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise StateFileError(f"numeric amplitude must be {{re, im}}, got {raw!r}")
+    # JSON numbers only: float() would also read true and " 1 " as 1.
+    if not all(type(part) in (int, float) for part in raw.values()):
+        raise StateFileError(f"numeric amplitude parts must be JSON numbers, got {raw!r}")
     try:
         real, imag = float(raw["re"]), float(raw["im"])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise StateFileError(f"bad numeric amplitude {raw!r}") from exc
     if not (math.isfinite(real) and math.isfinite(imag)):
         raise StateFileError(f"non-finite numeric amplitude {raw!r}")

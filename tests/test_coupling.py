@@ -299,6 +299,21 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             label_of(PAIR, 1, 2)  # m out of range
 
+    def test_a_multiplet_checks_its_assignment_once(self):
+        # The members of a multiplet share the spins tuple that the first
+        # one checked; an assignment that fails is refused every time.
+        tree = CouplingTree.parse("(((1 2) 3) (4 5))")
+        labels = enumerate_multiplets(tree)
+        spins = {}
+        for label in labels:
+            assert spins.setdefault(label.intermediates, label._spins) is label._spins
+        assert len(spins) == len(list(coupling._assignments(tree)))
+        again = CoupledLabel(tree, labels[-1].intermediates, labels[-1].total_m)
+        assert again._spins is labels[-1]._spins
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"triangle rule fails at node over \(1, 2, 3\)"):
+                label_of(tree, 1, "5/2", 1, "3/2", "1/2")
+
 
 class TestExpand:
     def test_singlet(self):

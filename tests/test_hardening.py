@@ -45,8 +45,13 @@ def _measure_file(tmp_path, capsys, doc) -> str:
 
 
 class TestStateFileHardening:
-    @pytest.mark.parametrize(
-        "value", ["nan", "inf", "-inf", pytest.param(float("nan"), id="NaN")])
+    # JSON's NaN, Infinity and -Infinity literals; the strings are not
+    # numbers (test_numeric_amplitude_must_be_json_numbers).
+    @pytest.mark.parametrize("value", [
+        pytest.param(float("inf"), id="inf"),
+        pytest.param(float("-inf"), id="-inf"),
+        pytest.param(float("nan"), id="NaN"),
+    ])
     def test_non_finite_numeric_amplitude(self, tmp_path, capsys, value):
         doc = {"n": 2, "flavor": "numeric", "amplitudes": [
             {"config": "ud", "amp": {"re": value, "im": 0.0}},
@@ -56,9 +61,30 @@ class TestStateFileHardening:
 
     def test_non_finite_numeric_amplitude_raises_state_file_error(self):
         doc = {"n": 1, "flavor": "numeric",
-               "amplitudes": [{"config": "u", "amp": {"re": 1.0, "im": "nan"}}]}
+               "amplitudes": [{"config": "u", "amp": {"re": 1.0, "im": float("nan")}}]}
         with pytest.raises(StateFileError, match="non-finite"):
             parse_state_file(json.dumps(doc))
+
+    # Each would be read as the amplitude 1 (or a non-finite one) if its
+    # parts went through float(); only JSON numbers are numeric parts.
+    @pytest.mark.parametrize("amp", [
+        pytest.param({"re": True, "im": False}, id="bools"),
+        pytest.param({"re": " 1 ", "im": "0"}, id="strings"),
+        pytest.param({"re": 1.0, "im": "0"}, id="string-im"),
+        pytest.param({"re": 1, "im": False}, id="bool-im"),
+        pytest.param({"re": "nan", "im": 0.0}, id="nan-string"),
+        pytest.param({"re": "inf", "im": 0.0}, id="inf-string"),
+        pytest.param({"re": "-inf", "im": 0.0}, id="-inf-string"),
+    ])
+    def test_numeric_amplitude_must_be_json_numbers(self, tmp_path, capsys, amp):
+        doc = {"n": 1, "flavor": "numeric", "amplitudes": [{"config": "u", "amp": amp}]}
+        assert "must be JSON numbers" in _measure_file(tmp_path, capsys, doc)
+        with pytest.raises(StateFileError, match="must be JSON numbers"):
+            parse_state_file(json.dumps(doc))
+
+    def test_numeric_amplitude_parts_may_be_json_integers(self):
+        doc = {"n": 1, "flavor": "numeric", "amplitudes": [{"config": "u", "amp": {"re": 1, "im": 0}}]}
+        assert parse_state_file(json.dumps(doc)).amplitudes == {1: 1 + 0j}
 
     def test_zero_denominator(self, tmp_path, capsys):
         doc = {"n": 1, "flavor": "exact", "amplitudes": [

@@ -1,11 +1,14 @@
 """Differential tests of the memoized expansion paths.
 
-``recouple`` enumerates only the source's (S, m) sector of the target and
-shares one subtree memo over it; ``full_basis`` shares one memo over all
-labels of a tree. Both must give exactly what label-by-label ``expand``
-gives: ``tests/oracle_recouple.py`` for ``recouple`` (bit-equal to its
-exact oracle; the labels of its float oracle, in order, within 1e-15),
-and ``[(label, expand(label)) ...]`` for ``full_basis``. Between trees
+``recouple`` works at the stretched member m = S: it expands the source
+there and walks only the target's S sector, with one subtree memo shared
+over it; ``full_basis`` shares one memo over all labels of a tree. Both
+must give exactly what label-by-label ``expand`` gives:
+``tests/oracle_recouple.py`` for ``recouple`` (bit-equal to its
+expansion at the label's own m and to its exact oracle at every m; the
+labels of its float oracle, in order, within 1e-15), and
+``[(label, expand(label)) ...]`` for ``full_basis``. A corrupted target
+must make ``recouple`` raise, and the CLI print one error line. Between trees
 that differ by one rotation, every recoupling coefficient must also equal
 Racah's single-6j formula, and between ((1 2) (3 4)) and ((1 3) (2 4))
 the 9j formula.
@@ -16,9 +19,14 @@ from fractions import Fraction
 
 import pytest
 
+from multiplets import coupling
+from multiplets.cli import main
 from multiplets.coupling import (
+    CoupledLabel,
     CouplingTree,
     Node,
+    Spin,
+    SpinProjection,
     StateVector,
     all_coupling_trees,
     enumerate_multiplets,
@@ -90,6 +98,101 @@ class TestRecoupleAgainstOracle:
         tree = _balanced(6)
         for label in enumerate_multiplets(tree)[::7]:
             _assert_matches_oracles(label, tree)
+
+
+def _random_tree(rng, n):
+    """A random tree shape over a random leaf order of particles 1..n."""
+    particles = rng.sample(range(1, n + 1), n)
+
+    def build(items):
+        if len(items) == 1:
+            return str(items[0])
+        cut = rng.randrange(1, len(items))
+        return f"({build(items[:cut])} {build(items[cut:])})"
+    return CouplingTree.parse(build(particles))
+
+
+class TestStretchedMember:
+    @pytest.mark.parametrize("source", TREES4, ids=str)
+    def test_every_four_qubit_label_matches_the_expansion_at_its_m(self, source):
+        for label in enumerate_multiplets(source):
+            for target in TREES4:
+                assert _bits(recouple(label, target)) == _bits(
+                    oracle_recouple.recouple_at_m(label, target))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_every_m_of_sampled_multiplets_in_random_leaf_orders(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(3):
+            source, target = _random_tree(rng, n), _random_tree(rng, n)
+            two_s, intermediates = rng.choice(
+                [(two_s, inter) for two_s, inter in coupling._assignments(source) if two_s])
+            spins = tuple(map(Spin, intermediates))
+            for two_m in range(two_s, -two_s - 1, -2):
+                label = CoupledLabel(source, spins, SpinProjection(two_m))
+                assert _bits(recouple(label, target)) == _bits(
+                    oracle_recouple.recouple_exact(label, target))
+
+    def test_labels_of_one_call_share_their_spins(self):
+        label = enumerate_multiplets(_sequential(6))[40]
+        spins = [spin for target in recouple(label, _balanced(6)) for spin in target.intermediates]
+        assert len(spins) > len(set(spins))
+        assert len(set(map(id, spins))) == len(set(spins))
+
+
+# The sequential n = 4 label S12 = 1, S123 = 1/2, S = 1, m = 0 has the
+# coefficient sqrt(2/3) on the balanced label S12 = S34 = 1, S = 1, whose
+# root plan (j_left, j_right, J) = (1, 1, 1) no node of the source uses.
+# Each corruption changes that plan's first branch, or the target's root
+# expansion, so the source stays exact and only the target is wrong.
+CORRUPTIONS = {
+    # Norm 1 still, but the state leaves the S = 1 sector: Parseval fails.
+    "sign": ("plan", lambda b: (b[0], b[1], -b[2], b[3], b[4]), "squared sum"),
+    # The branch's coefficient doubled: the state is no longer of norm 1.
+    "scale": ("plan", lambda b: (b[0], b[1], b[2], 4 * b[3], b[4]), "norm"),
+    # A configuration of a fifth particle, with amplitude 0.
+    "range": ("root", lambda ints: {**ints, 1 << 4: 0}, "out of range"),
+}
+
+
+@pytest.fixture(params=sorted(CORRUPTIONS))
+def corrupted_target(request, monkeypatch):
+    where, change, message = CORRUPTIONS[request.param]
+    target = _balanced(4)
+    if where == "plan":
+        plan = coupling._branch_plan
+
+        def corrupted(two_l, two_r, two_j, two_m):
+            branches = plan(two_l, two_r, two_j, two_m)
+            if (two_l, two_r, two_j) == (2, 2, 2):
+                return (change(branches[0]),) + branches[1:]
+            return branches
+        monkeypatch.setattr(coupling, "_branch_plan", corrupted)
+    else:
+        expand_node = coupling._expand_node
+
+        def corrupted(pos, postorder, spins, two_m, memo):
+            p, q, ints = expand_node(pos, postorder, spins, two_m, memo)
+            if postorder == target._postorder and pos == len(spins) - 1:
+                ints = change(ints)
+            return p, q, ints
+        monkeypatch.setattr(coupling, "_expand_node", corrupted)
+    return target, message
+
+
+class TestCorruptedTarget:
+    def test_recouple_raises(self, corrupted_target):
+        target, message = corrupted_target
+        label = CoupledLabel(_sequential(4), (Spin(2), Spin(1), Spin(2)), SpinProjection(0))
+        with pytest.raises(ValueError, match=message):
+            recouple(label, target)
+
+    def test_the_cli_prints_one_error_line(self, corrupted_target, capsys):
+        target, message = corrupted_target
+        assert main(["recouple", _sequential(4).spec(), target.spec(), "--label", "1,1/2,1,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_recouple_builds_no_dense_array(monkeypatch):
