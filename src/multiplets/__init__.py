@@ -7,7 +7,6 @@ tell GHZ, W and Dicke-type states apart.
 """
 
 from .coupling import (
-    HALF,
     CoupledLabel,
     CouplingTree,
     Leaf,
@@ -23,7 +22,6 @@ from .coupling import (
     enumerate_multiplets,
     expand,
     full_basis,
-    projections,
     recouple,
     triangle_ok,
 )

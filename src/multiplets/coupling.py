@@ -5,14 +5,22 @@ half-integer spins stay exact. Coefficients follow the Condon-Shortley
 phase convention and are evaluated with Racah's factorial sum over exact
 rationals, so every amplitude is a :class:`~multiplets.exactnum.SignedRadical`.
 
-Labels and expansions index a tree's nodes by position: the leaves, then
-the internal nodes in postorder (``CouplingTree._postorder``, built once
-per tree), so neither hashes ``Node``s. Expansion recurses top-down, and a
-memo keyed by (position, the subtree's doubled spins) holds each subtree
-expansion by 2m, except the root's. The memo lives for one call: one
-label in ``expand``, every label of the tree in ``full_basis``, the
-target's S sector at m = S in ``recouple``. The price is memory, since
-``full_basis`` holds every non-root subtree expansion until it returns.
+A ``Leaf`` is a particle index and nothing else, so a tree is made of
+qubits by construction: each leaf's doubled spin is 1, and a subtree's
+largest doubled spin is its particle count. Labels and expansions index
+a tree's nodes by position: the leaves, then the internal nodes in
+postorder. One walk of the root, cached per tree as the table
+``CouplingTree._postorder``, holds the particles of each position and
+(left, right, first) of each internal node, and every reader here and in
+``multiplets.operators`` reads it; only a tree's spec, hash and equality
+look at its ``Node`` objects again.
+
+Expansion recurses top-down, and a memo keyed by (position, the
+subtree's doubled spins) holds each subtree expansion by 2m, except the
+root's. The memo lives for one call: one label in ``expand``, every
+label of the tree in ``full_basis``, the target's S sector at m = S in
+``recouple``. The price is memory, since ``full_basis`` holds every
+non-root subtree expansion until it returns.
 
 Each coupled state, of a subtree or of the tree, is the only common
 eigenvector of integer Casimirs, so it is sqrt(r) times a vector of
@@ -49,8 +57,6 @@ from .exactnum import SignedRadical, radical_float, ratio_root
 __all__ = [
     "Spin",
     "SpinProjection",
-    "HALF",
-    "projections",
     "triangle_ok",
     "cg",
     "Leaf",
@@ -132,17 +138,9 @@ class SpinProjection:
         return _half_text(self.two_m)
 
 
-HALF = Spin(1)
-
-
 def _check_jm(j: Spin, m: SpinProjection) -> None:
     if abs(m.two_m) > j.two_j or (m.two_m - j.two_j) % 2 != 0:
         raise ValueError(f"projection m={m} is invalid for spin j={j}")
-
-
-def projections(j: Spin) -> list[SpinProjection]:
-    """All projections of j, descending (m = j, j-1, ..., -j)."""
-    return [SpinProjection(two_m) for two_m in range(j.two_j, -j.two_j - 1, -2)]
 
 
 def triangle_ok(j1: Spin, j2: Spin, j: Spin) -> bool:
@@ -223,10 +221,9 @@ def cg(j1: Spin, m1: SpinProjection, j2: Spin, m2: SpinProjection,
 
 @dataclass(frozen=True)
 class Leaf:
-    """One particle; ``index`` is 1-based."""
+    """One spin-1/2 particle; ``index``, an int, is its 1-based label."""
 
     index: int
-    spin: Spin = HALF
 
 
 @dataclass(frozen=True)
@@ -245,22 +242,6 @@ TreeNode = Union[Leaf, Node]
 MAX_TREE_LEAVES = 64
 
 
-def _walk_leaves(node: TreeNode) -> Iterator[Leaf]:
-    if isinstance(node, Leaf):
-        yield node
-    else:
-        yield from _walk_leaves(node.left)
-        yield from _walk_leaves(node.right)
-
-
-def _walk_nodes(node: TreeNode) -> Iterator[Node]:
-    """Internal nodes in postorder; the root comes last."""
-    if isinstance(node, Node):
-        yield from _walk_nodes(node.left)
-        yield from _walk_nodes(node.right)
-        yield node
-
-
 @dataclass(frozen=True)
 class CouplingTree:
     """A binary coupling order over particles 1..n."""
@@ -268,7 +249,7 @@ class CouplingTree:
     root: TreeNode
 
     def __post_init__(self) -> None:
-        indices = [leaf.index for leaf in _walk_leaves(self.root)]
+        indices = list(self.particles())
         if sorted(indices) != list(range(1, len(indices) + 1)):
             raise ValueError(
                 f"leaf indices must be a permutation of 1..n, got {indices}"
@@ -276,20 +257,16 @@ class CouplingTree:
 
     @property
     def n(self) -> int:
-        return len(self._postorder[0])
+        return len(self._postorder[1]) + 1
 
     def particles(self) -> tuple[int, ...]:
         """Leaf indices in leaf order (left to right)."""
-        return tuple(leaf.index for leaf in self._postorder[0])
+        return self._postorder[0][-1]
 
-    def leaves(self) -> tuple[Leaf, ...]:
-        return self._postorder[0]
-
-    def internal_nodes(self) -> tuple[Node, ...]:
-        return tuple(_walk_nodes(self.root))
-
-    def node_particles(self, node: TreeNode) -> tuple[int, ...]:
-        return tuple(leaf.index for leaf in _walk_leaves(node))
+    def node_particles(self) -> tuple[tuple[int, ...], ...]:
+        """The particles of each internal node, each in leaf order, in
+        postorder: parallel to ``node_names()``, so the root's come last."""
+        return self._postorder[0][self.n:]
 
     def node_names(self) -> tuple[str, ...]:
         """One name per internal node, postorder; the root is plain "S"."""
@@ -297,14 +274,10 @@ class CouplingTree:
 
     @functools.cached_property
     def _node_names(self) -> tuple[str, ...]:
-        leaves, nodes = self._postorder
-        particles = [(leaf.index,) for leaf in leaves]
-        for left, right, _ in nodes:
-            particles.append(particles[left] + particles[right])
         names = []
-        for idx in map(sorted, particles[len(leaves):-1]):
+        for idx in map(sorted, self.node_particles()[:-1]):
             names.append("S" + ("," if idx[-1] > 9 else "").join(map(str, idx)))
-        return tuple(names) + (("S",) if nodes else ())
+        return tuple(names) + (("S",) if self._postorder[1] else ())
 
     @classmethod
     def parse(cls, spec: str) -> "CouplingTree":
@@ -338,28 +311,42 @@ class CouplingTree:
         return self.spec()
 
     @functools.cached_property
-    def _postorder(self) -> tuple[tuple[Leaf, ...], tuple[tuple[int, int, int], ...]]:
-        """(leaves, then (left, right, first) per internal node in postorder).
+    def _postorder(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
+        """(particles, nodes): each position's particles in leaf order, and
+        (left, right, first) of each internal node in postorder.
 
         Positions count the leaves, then the internal nodes in postorder. A
         subtree's internal nodes are contiguous and end at its own position
         p, so ``spins[first:p + 1]`` is its whole intermediate assignment.
+        One walk of the root builds both. It raises ValueError at a child
+        that is not a ``Leaf`` or a ``Node``, and at a leaf index that is
+        not an int, which ``spec`` could not write back.
         """
-        leaves = tuple(_walk_leaves(self.root))
-        n = len(leaves)
-        position = {id(leaf): k for k, leaf in enumerate(leaves)}
-        nodes: list[tuple[int, int, int]] = []
-        for node in self.internal_nodes():
-            left, right = position[id(node.left)], position[id(node.right)]
-            own = position[id(node)] = len(position)
-            firsts = [nodes[child - n][2] for child in (left, right) if child >= n]
-            nodes.append((left, right, firsts[0] if firsts else own))
-        return leaves, tuple(nodes)
+        particles: list[tuple[int, ...]] = []
+        # Each internal node's two children; the k-th internal node in
+        # postorder stands as -1 - k until the leaves are counted.
+        children: list[tuple[int, int]] = []
 
-    @functools.cached_property
-    def _leaf_spins(self) -> tuple[int, ...]:
-        """The leaves' doubled spins, in leaf order."""
-        return tuple(leaf.spin.two_j for leaf in self._postorder[0])
+        def walk(node: TreeNode) -> int:
+            if isinstance(node, Node):
+                children.append((walk(node.left), walk(node.right)))
+                return -len(children)
+            if not isinstance(node, Leaf):
+                raise ValueError(f"a tree holds Leaf and Node objects, got {node!r}")
+            if type(node.index) is not int:
+                raise ValueError(f"leaf index must be an int, got {node.index!r}")
+            particles.append((node.index,))
+            return len(particles) - 1
+
+        walk(self.root)
+        n = len(particles)
+        nodes: list[tuple[int, int, int]] = []
+        for pos, pair in enumerate(children, n):
+            left, right = (child if child >= 0 else n - 1 - child for child in pair)
+            firsts = [nodes[child - n][2] for child in (left, right) if child >= n]
+            nodes.append((left, right, firsts[0] if firsts else pos))
+            particles.append(particles[left] + particles[right])
+        return tuple(particles), tuple(nodes)
 
     @functools.cached_property
     def _checked_spins(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -466,7 +453,7 @@ class CoupledLabel:
     _spins: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        leaves, nodes = self.tree._postorder
+        particles, nodes = self.tree._postorder
         if not nodes:
             raise ValueError("a coupled label needs a tree of at least two particles")
         if len(self.intermediates) != len(nodes):
@@ -477,15 +464,13 @@ class CoupledLabel:
         checked = self.tree._checked_spins
         spins = checked.get(twos)
         if spins is None:
-            spins = self.tree._leaf_spins + twos
-            for pos, (left, right, _) in enumerate(nodes, len(leaves)):
+            n = len(nodes) + 1
+            spins = (1,) * n + twos
+            for pos, (left, right, _) in enumerate(nodes, n):
                 two_l, two_r, two_j = spins[left], spins[right], spins[pos]
                 # The triangle rule of ``triangle_ok``, on the doubled ints.
                 if not abs(two_l - two_r) <= two_j <= two_l + two_r or (two_l + two_r + two_j) % 2:
-                    node = self.tree.internal_nodes()[pos - len(leaves)]
-                    raise ValueError(
-                        f"triangle rule fails at node over {self.tree.node_particles(node)}"
-                    )
+                    raise ValueError(f"triangle rule fails at node over {particles[pos]}")
             checked[twos] = spins
         _check_jm(self.total_spin, self.total_m)
         object.__setattr__(self, "_spins", spins)
@@ -688,11 +673,10 @@ def _assignments(tree: CouplingTree, two_s: int | None = None
     Each subtree's spin is then held to the range from which the total can
     still reach two_s, so the walk never enters a branch that cannot.
     """
-    leaves, nodes = tree._postorder
-    n = len(leaves)
-    most = list(tree._leaf_spins)
-    for left, right, _ in nodes:
-        most.append(most[left] + most[right])
+    particles, nodes = tree._postorder
+    n = len(nodes) + 1
+    # A subtree's largest doubled spin is its particle count.
+    most = tuple(map(len, particles))
 
     def walk(pos: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         if pos < n:
@@ -766,10 +750,10 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
     itself and looks its subtree children up in the memo, so neither a
     leaf nor a memo hit costs a call.
     """
-    leaves, nodes = postorder
-    n = len(leaves)
+    particles, nodes = postorder
+    n = len(nodes) + 1
     if pos < n:
-        return 1, 1, {1 << (n - leaves[pos].index) if two_m > 0 else 0: 1}
+        return 1, 1, {1 << (n - particles[pos][0]) if two_m > 0 else 0: 1}
     left, right, first = nodes[pos - n]
     stored = pos < len(spins) - 1
     if stored:
@@ -777,11 +761,11 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
         if two_m in known:
             return known[two_m]
     if left < n:
-        known_left = {1: (1, 1, {1 << (n - leaves[left].index): 1}), -1: (1, 1, {0: 1})}
+        known_left = {1: (1, 1, {1 << (n - particles[left][0]): 1}), -1: (1, 1, {0: 1})}
     else:
         known_left = memo.setdefault((left, spins[nodes[left - n][2]:left + 1]), {})
     if right < n:
-        known_right = {1: (1, 1, {1 << (n - leaves[right].index): 1}), -1: (1, 1, {0: 1})}
+        known_right = {1: (1, 1, {1 << (n - particles[right][0]): 1}), -1: (1, 1, {0: 1})}
     else:
         known_right = memo.setdefault((right, spins[nodes[right - n][2]:right + 1]), {})
     branches = []
@@ -822,29 +806,20 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
     return out
 
 
-def _check_qubit_leaves(tree: CouplingTree) -> None:
-    """Raise ValueError unless every leaf is a spin 1/2, as the qubit basis
-    that the expansion targets needs. Once per tree, not per label."""
-    if any(two_j != 1 for two_j in tree._leaf_spins):
-        raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
-
-
 def _expansion(label: CoupledLabel, memo: dict[tuple, dict]) -> StateVector:
     """``expand`` with a subtree memo that the caller may share between
-    labels of one tree, whose leaves the caller has checked."""
-    postorder, spins = label.tree._postorder, label._spins
-    p, q, ints = _expand_node(len(spins) - 1, postorder, spins, label.total_m.two_m, memo)
-    return StateVector(len(postorder[0]), IntegerAmplitudes(Fraction(p, q), ints), True)
+    labels of one tree."""
+    tree, spins = label.tree, label._spins
+    p, q, ints = _expand_node(len(spins) - 1, tree._postorder, spins, label.total_m.two_m, memo)
+    return StateVector(tree.n, IntegerAmplitudes(Fraction(p, q), ints), True)
 
 
 def expand(label: CoupledLabel) -> StateVector:
     """Exact product-basis expansion of one coupled state.
 
     Its subtree memo lives for this one call: a label reaches the same
-    (subtree, m) by many paths. Raises ValueError unless every leaf is a
-    spin 1/2.
+    (subtree, m) by many paths.
     """
-    _check_qubit_leaves(label.tree)
     return _expansion(label, {})
 
 
@@ -854,7 +829,6 @@ def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
     One subtree memo serves all of the tree's labels and lives for this
     call; it holds every non-root subtree expansion at once.
     """
-    _check_qubit_leaves(tree)
     memo: dict[tuple, dict] = {}
     return [(label, _expansion(label, memo))
             for label in enumerate_multiplets(tree)]
@@ -882,13 +856,11 @@ def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, fl
     if target.n > MAX_DENSE_QUBITS:
         raise ValueError(f"recoupling {target.n} particles walks up to 2**{target.n} "
                          f"target labels; at most {MAX_DENSE_QUBITS} particles are supported")
-    _check_qubit_leaves(target)
     two_s = label.total_spin.two_j
     source = expand(CoupledLabel(label.tree, label.intermediates, SpinProjection(two_s))).amplitudes
     p_source, q_source = source.radicand.numerator, source.radicand.denominator
-    postorder, leaf_spins = target._postorder, target._leaf_spins
-    n = len(postorder[0])
-    root = n + len(postorder[1]) - 1
+    postorder, n = target._postorder, target.n
+    leaf_spins, root = (1,) * n, 2 * n - 2
     spin = functools.cache(Spin)  # for this call: labels share their Spins
     memo: dict[tuple, dict] = {}
     out: dict[CoupledLabel, float] = {}

@@ -7,7 +7,9 @@ spins up), matching ``StateVector.to_array``.
 Two spins 1/2 obey s_i . s_j = P_ij / 2 - 1/4, with P_ij their exchange
 (Dirac, Proc. R. Soc. A 123, 714 (1929)). So the Casimir of a particle
 set A is 3|A|/4 - |A|(|A| - 1)/4 + (the sum over i < j in A of P_ij), and
-S_z is the diagonal popcount(config) - n/2.
+S_z is the diagonal popcount(config) - n/2. A tree's commuting set is
+one Casimir per internal node, in the postorder of ``node_names()``, then
+S_z; the k-th Casimir is that of the particles ``node_particles()[k]``.
 
 ``verify_basis`` checks a whole basis of expanded states exactly. Each
 state is one integer column of its popcount sector: the expansion
@@ -52,11 +54,10 @@ def verify_eigenstate(op, psi: StateVector | np.ndarray, eigenvalue: float,
 
 @dataclass(frozen=True)
 class LabeledOperator:
-    """A member of a tree's commuting set: its name, the particles of its
-    node (None for the total S_z), and its label-read eigenvalue."""
+    """A member of a tree's commuting set: its name and its label-read
+    eigenvalue. The k-th Casimir is that of ``tree.node_particles()[k]``."""
 
     name: str
-    sites: tuple[int, ...] | None
     eigenvalue_of: Callable[[CoupledLabel], float]
 
 
@@ -69,11 +70,11 @@ def commuting_set(tree: CouplingTree) -> list[LabeledOperator]:
     projection.
     """
     members = [
-        LabeledOperator(f"{name}^2", tree.node_particles(node),
+        LabeledOperator(f"{name}^2",
                         lambda lab, k=k: float(lab.intermediates[k].casimir_eigenvalue()))
-        for k, (node, name) in enumerate(zip(tree.internal_nodes(), tree.node_names()))
+        for k, name in enumerate(tree.node_names())
     ]
-    members.append(LabeledOperator("S_z", None, lambda lab: float(lab.total_m.m)))
+    members.append(LabeledOperator("S_z", lambda lab: float(lab.total_m.m)))
     return members
 
 
@@ -94,10 +95,10 @@ def verify_basis(tree: CouplingTree,
     residual is |delta m|. The Casimir of a node over particles A is
     checked per popcount sector as R = 4 X + (3|A| - |A|(|A| - 1) -
     2s(2s + 2)) M, with M the sector's integer columns and X the sum of
-    P_ij M over i < j in A, built up the tree: X_node = X_left + X_right +
-    (P_ij M over i in left, j in right), C(n, 2) row gathers per sector in
-    all. A failing check reports sqrt(r * sum(R^2) / 16), the float square
-    root of the exact squared residual. Raises ValueError for any other
+    P_ij M over i < j in A, built up the tree by position: X_node = X_left
+    + X_right + (P_ij M over i in left, j in right), C(n, 2) row gathers
+    per sector in all. A failing check reports sqrt(r * sum(R^2) / 16),
+    the float square root of the exact squared residual. Raises ValueError for any other
     state, a state that spans several popcount sectors, or an integer of
     2^40 or more.
     """
@@ -105,8 +106,7 @@ def verify_basis(tree: CouplingTree,
     if any(state.n != n or not isinstance(state.amplitudes, IntegerAmplitudes)
            for _, state in basis):
         raise ValueError(f"verification needs expanded states of {n} particles")
-    nodes = tree.internal_nodes()
-    particles = {id(node): tree.node_particles(node) for node in nodes + tree.leaves()}
+    particles, nodes = tree._postorder
     config = np.arange(1 << n)
     popcount = sum(config >> bit & 1 for bit in range(n))
     rank = np.empty(1 << n, dtype=np.intp)
@@ -136,17 +136,16 @@ def verify_basis(tree: CouplingTree,
         matrix = np.zeros((len(configs), len(in_sector)), dtype=np.int64)
         matrix[rank[masks], np.repeat(np.arange(len(in_sector)), lengths)] = values
         del masks, values
-        exchanges: dict[int, np.ndarray] = {}
-        for slot, node in enumerate(nodes):
-            below = [exchanges.pop(id(child)) for child in (node.left, node.right)
-                     if id(child) in exchanges]
+        exchanges: dict[int, np.ndarray] = {}  # by position, until the parent takes it
+        for slot, (left, right, _) in enumerate(nodes):
+            below = [exchanges.pop(child) for child in (left, right) if child in exchanges]
             total = sum(below[1:], below[0]) if below else np.zeros_like(matrix)
-            for i in particles[id(node.left)]:
-                for j in particles[id(node.right)]:
+            for i in particles[left]:
+                for j in particles[right]:
                     differ = (configs >> (n - i) ^ configs >> (n - j)) & 1
                     total += matrix[rank[configs ^ differ * (1 << (n - i) | 1 << (n - j))]]
-            exchanges[id(node)] = total
-            size = len(particles[id(node)])
+            exchanges[n + slot] = total
+            size = len(particles[n + slot])
             spins = two_j[in_sector, slot]
             residual = 4 * total + (3 * size - size * (size - 1) - spins * (spins + 2)) * matrix
             for c in np.flatnonzero(residual.any(axis=0)).tolist():

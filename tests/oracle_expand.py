@@ -15,25 +15,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from multiplets.coupling import HALF, CoupledLabel, StateVector, _cg_doubled
+from multiplets.coupling import CoupledLabel, StateVector, _cg_doubled
 from multiplets.exactnum import SignedRadical
 
 
-def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
-                 memo: dict[tuple, dict]) -> dict[tuple, SignedRadical]:
+def _expand_node(pos: int, indices: tuple[int, ...], nodes: tuple, spins: tuple[int, ...],
+                 two_m: int, memo: dict[tuple, dict]) -> dict[tuple, SignedRadical]:
     """Expansion of the node at ``pos``, keyed by sorted (particle, two_m) tuples.
 
-    ``spins`` holds the doubled spins by position. Leaf projections fix
-    every intermediate projection, so each key is reached once and each
-    amplitude is a single CG product. ``memo`` maps (pos, the subtree's
+    ``indices`` holds the leaves' particles in leaf order, ``nodes`` the
+    (left, right, first) of each internal node, and ``spins`` the doubled
+    spins by position. Leaf projections fix every intermediate
+    projection, so each key is reached once and each amplitude is a
+    single CG product. ``memo`` maps (pos, the subtree's
     slice of ``spins``, two_m) to the subtree's expansion, so a subtree
     reached again, by another path or another label of the same tree, is
     not expanded twice. The root's key is unique per label: never stored.
     """
-    leaves, nodes = postorder
-    if pos < len(leaves):
-        return {((leaves[pos].index, two_m),): SignedRadical(1, Fraction(1))}
-    left, right, first = nodes[pos - len(leaves)]
+    if pos < len(indices):
+        return {((indices[pos], two_m),): SignedRadical(1, Fraction(1))}
+    left, right, first = nodes[pos - len(indices)]
     key = (pos, spins[first:pos + 1], two_m)
     out = memo.get(key)
     if out is not None:
@@ -49,8 +50,8 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
             continue
         # Scaling the smaller side by the CG first costs one product per
         # pair; a leaf side makes it one product per amplitude.
-        small, large = sorted((_expand_node(left, postorder, spins, two_ml, memo),
-                               _expand_node(right, postorder, spins, two_mr, memo)),
+        small, large = sorted((_expand_node(left, indices, nodes, spins, two_ml, memo),
+                               _expand_node(right, indices, nodes, spins, two_mr, memo)),
                               key=len)
         for key_s, amp_s in small.items():
             scaled = coeff * amp_s
@@ -63,15 +64,12 @@ def _expand_node(pos: int, postorder: tuple, spins: tuple[int, ...], two_m: int,
 
 def _expansion(label: CoupledLabel, memo: dict[tuple, dict]) -> StateVector:
     """``expand`` with a subtree memo that the caller may share between
-    labels of one tree. Raises ValueError unless every leaf is a spin 1/2,
-    as the qubit basis that the expansion targets needs."""
-    postorder = label.tree._postorder
-    if any(leaf.spin != HALF for leaf in postorder[0]):
-        raise ValueError("expansion into the qubit basis needs spin-1/2 leaves")
-    n = len(postorder[0])
+    labels of one tree."""
+    indices, nodes = label.tree.particles(), label.tree._postorder[1]
+    n = len(indices)
     spins = (1,) * n + tuple(spin.two_j for spin in label.intermediates)
     amps: dict[int, SignedRadical] = {}
-    for key, amp in _expand_node(len(spins) - 1, postorder, spins,
+    for key, amp in _expand_node(len(spins) - 1, indices, nodes, spins,
                                  label.total_m.two_m, memo).items():
         config = 0
         for index, two_m in key:

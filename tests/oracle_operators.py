@@ -116,8 +116,8 @@ def commuting_set(tree: CouplingTree) -> list[Member]:
     """
     n = tree.n
     members: list[Member] = []
-    for position, (node, name) in enumerate(zip(tree.internal_nodes(), tree.node_names())):
-        op = subset_casimir(n, tree.node_particles(node))
+    for position, (particles, name) in enumerate(zip(tree.node_particles(), tree.node_names())):
+        op = subset_casimir(n, particles)
 
         def casimir_value(label: CoupledLabel, pos: int = position) -> float:
             return float(label.intermediates[pos].casimir_eigenvalue())

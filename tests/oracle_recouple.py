@@ -37,7 +37,6 @@ from multiplets.coupling import (
     CouplingTree,
     Spin,
     _assignments,
-    _check_qubit_leaves,
     _expansion,
     enumerate_multiplets,
     expand,
@@ -78,7 +77,6 @@ def recouple_exact(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLab
 def recouple_at_m(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, float]:
     if set(label.tree.particles()) != set(target.particles()):
         raise ValueError("trees must couple the same particles")
-    _check_qubit_leaves(target)
     source = expand(label).amplitudes
     memo: dict[tuple, dict] = {}
     out: dict[CoupledLabel, float] = {}

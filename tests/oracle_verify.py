@@ -41,7 +41,10 @@ class ExchangeOperator:
 
     @classmethod
     def of(cls, tree: CouplingTree, member: LabeledOperator) -> "ExchangeOperator":
-        return cls(tree.n, member.sites)
+        """The operator of ``member``, a member of ``commuting_set(tree)``:
+        the k-th Casimir is that of ``tree.node_particles()[k]``."""
+        sites = dict(zip((f"{name}^2" for name in tree.node_names()), tree.node_particles()))
+        return cls(tree.n, sites.get(member.name))
 
     @functools.cached_property
     def _dense(self) -> tuple[float | np.ndarray, np.ndarray]:

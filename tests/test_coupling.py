@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from multiplets import coupling
 from multiplets.coupling import (
-    HALF,
     CoupledLabel,
     CouplingTree,
     Leaf,
@@ -23,7 +23,6 @@ from multiplets.coupling import (
     enumerate_multiplets,
     expand,
     full_basis,
-    projections,
     recouple,
     triangle_ok,
     _half_text,
@@ -45,6 +44,14 @@ def rad(text):
     if text.startswith("sqrt(") and text.endswith(")"):
         return SignedRadical.sqrt(Fraction(text[5:-1]), sign)
     return SignedRadical.sqrt(Fraction(text) ** 2, sign)
+
+
+HALF = Spin(1)
+
+
+def projections(j):
+    """All projections of j, descending (m = j, j-1, ..., -j)."""
+    return [SpinProjection(two_m) for two_m in range(j.two_j, -j.two_j - 1, -2)]
 
 
 def allowed_couplings(j1, j2):
@@ -183,6 +190,50 @@ class TestAllowedCouplings:
         assert not triangle_ok(HALF, HALF, Spin(4))
 
 
+def _walk_leaves(node):
+    if isinstance(node, Leaf):
+        yield node
+    else:
+        yield from _walk_leaves(node.left)
+        yield from _walk_leaves(node.right)
+
+
+def _walk_nodes(node):
+    """Internal nodes in postorder; the root comes last."""
+    if isinstance(node, Node):
+        yield from _walk_nodes(node.left)
+        yield from _walk_nodes(node.right)
+        yield node
+
+
+def _table_by_node_walk(tree):
+    """``CouplingTree._postorder`` as the ``Node`` walk through ``id()``
+    maps built it before the table: (particles by position, (left, right,
+    first) by internal node)."""
+    leaves = tuple(_walk_leaves(tree.root))
+    n = len(leaves)
+    position = {id(leaf): k for k, leaf in enumerate(leaves)}
+    particles = [(leaf.index,) for leaf in leaves]
+    nodes = []
+    for node in _walk_nodes(tree.root):
+        left, right = position[id(node.left)], position[id(node.right)]
+        own = position[id(node)] = len(position)
+        firsts = [nodes[child - n][2] for child in (left, right) if child >= n]
+        nodes.append((left, right, firsts[0] if firsts else own))
+        particles.append(tuple(leaf.index for leaf in _walk_leaves(node)))
+    return tuple(particles), tuple(nodes)
+
+
+def _shuffled_spec(n, seed):
+    """A random tree over a random order of 1..n."""
+    rng = random.Random(seed)
+    items = [str(i) for i in rng.sample(range(1, n + 1), n)]
+    while len(items) > 1:
+        k = rng.randrange(len(items) - 1)
+        items[k:k + 2] = [f"({items[k]} {items[k + 1]})"]
+    return items[0]
+
+
 class TestTrees:
     def test_parse_round_trip(self):
         for spec in ["(1 2)", "((1 2) 3)", "((1 2) (3 4))", "(((1 2) 3) 4)", "((2 3) 1)"]:
@@ -216,16 +267,39 @@ class TestTrees:
         assert CouplingTree.parse("((1 2) 3)") != CouplingTree.parse("((1 3) 2)")
         assert len({CouplingTree.parse(spec) for spec in ["((1 2) 3)", "((1 3) 2)", "((1 2) 3)"]}) == 2
 
-    def test_leaf_reads_use_the_cached_walk(self, monkeypatch):
+    def test_leaf_reads_use_the_cached_walk(self):
         trees = [tree for n in range(1, 6) for tree in all_coupling_trees(range(1, n + 1))]
-        walked = [tuple(coupling._walk_leaves(tree.root)) for tree in trees]
-        for tree in trees:
-            tree._postorder
-        monkeypatch.setattr(coupling, "_walk_leaves", None)
-        for tree, leaves in zip(trees, walked):
-            assert tree.leaves() == leaves
-            assert tree.particles() == tuple(leaf.index for leaf in leaves)
-            assert tree.n == len(leaves)
+        expected = [(tree.particles(), tree.n, tree.node_particles(), tree.node_names())
+                    for tree in trees]
+        for tree, (particles, n, node_particles, names) in zip(trees, expected):
+            # With its root gone, a tree can only answer from its table.
+            object.__setattr__(tree, "root", None)
+            assert tree.particles() == particles and tree.n == n
+            assert tree.node_particles() == node_particles and tree.node_names() == names
+            if n > 1:
+                assert len(full_basis(tree)) == 2 ** n
+
+    def test_table_matches_the_node_walk(self):
+        trees = [tree for n in range(1, 7) for tree in all_coupling_trees(range(1, n + 1))]
+        shuffled = [CouplingTree.parse(_shuffled_spec(n, seed))
+                    for n in (10, 11, 12) for seed in range(4)]
+        for tree in trees + shuffled:
+            particles, nodes = _table_by_node_walk(tree)
+            assert tree._postorder == (particles, nodes)
+            assert tree.particles() == particles[-1]
+            assert tree.node_particles() == particles[tree.n:]
+
+    @pytest.mark.parametrize("root,message", [
+        (Node(Leaf(True), Leaf(2)), "leaf index must be an int, got True"),
+        (Node(Leaf(1.0), Leaf(2)), "leaf index must be an int, got 1.0"),
+        (Node(Leaf(1), Leaf(np.int64(2))), "leaf index must be an int"),
+        (Node(Leaf(1), (2,)), r"Leaf and Node objects, got \(2,\)"),
+        (Node(Leaf(1), None), "Leaf and Node objects, got None"),
+        ("(1 2)", r"Leaf and Node objects, got '\(1 2\)'"),
+    ], ids=["bool", "float", "numpy-int", "tuple-child", "none-child", "str-root"])
+    def test_leaf_indices_are_ints_and_children_are_nodes(self, root, message):
+        with pytest.raises(ValueError, match=message):
+            CouplingTree(root)
 
     def test_duplicate_particle_rejected(self):
         with pytest.raises(ValueError):
@@ -242,7 +316,7 @@ def _assignments_by_recursion(node):
     """(subtree spin, intermediate spins postorder) of each assignment, as
     ``Spin``s, earlier spins descending first: the unpruned walk."""
     if isinstance(node, Leaf):
-        yield node.spin, ()
+        yield HALF, ()
         return
     for left_spin, left_inter in _assignments_by_recursion(node.left):
         for right_spin, right_inter in _assignments_by_recursion(node.right):
@@ -269,15 +343,12 @@ class TestEnumerate:
         assert len(labels) == 16
 
     def test_a_walk_held_to_one_total_is_the_filtered_full_walk(self):
-        mixed = [CouplingTree(Node(Node(Leaf(1, Spin(2)), Leaf(2)), Node(Leaf(3, Spin(3)), Leaf(4)))),
-                 CouplingTree(Node(Node(Node(Leaf(1, Spin(4)), Leaf(2, Spin(2))), Leaf(3)), Leaf(4)))]
         trees = [tree for n in range(2, 7) for tree in all_coupling_trees(range(1, n + 1))]
-        for tree in trees + mixed:
+        for tree in trees:
             walk = [(total.two_j, tuple(spin.two_j for spin in inter))
                     for total, inter in _assignments_by_recursion(tree.root)]
             assert list(coupling._assignments(tree)) == walk
-            top = sum(leaf.spin.two_j for leaf in tree.leaves())
-            for two_s in range(top + 2):
+            for two_s in range(tree.n + 2):
                 assert list(coupling._assignments(tree, two_s)) == [
                     (total, inter) for total, inter in walk if total == two_s]
 
@@ -378,20 +449,6 @@ class TestFullBasis:
     def test_gram_identity_five_qubits(self):
         tree = CouplingTree.parse("(((1 2) (3 4)) 5)")
         assert gram_is_identity(tree)
-
-    def test_general_spin_leaf_not_expandable(self):
-        tree = CouplingTree(Node(Leaf(1, Spin(2)), Leaf(2, Spin(2))))
-        label = enumerate_multiplets(tree)[0]
-        qubits = enumerate_multiplets(PAIR)[0]
-        for refused in (lambda: expand(label), lambda: full_basis(tree),
-                        lambda: recouple(label, PAIR), lambda: recouple(qubits, tree)):
-            with pytest.raises(ValueError, match="needs spin-1/2 leaves"):
-                refused()
-
-    def test_general_spin_multiplets_still_enumerate(self):
-        tree = CouplingTree(Node(Leaf(1, Spin(2)), Leaf(2, Spin(2))))
-        labels = enumerate_multiplets(tree)
-        assert len(labels) == 9  # 5 + 3 + 1
 
 
 class TestRecouple:
@@ -529,11 +586,11 @@ class TestToArray:
 def _names_by_walk(tree):
     """Node names walked from the tree, as every label used to compute them."""
     names = []
-    for node in tree.internal_nodes():
+    for node in _walk_nodes(tree.root):
         if node is tree.root:
             names.append("S")
         else:
-            idx = sorted(tree.node_particles(node))
+            idx = sorted(leaf.index for leaf in _walk_leaves(node))
             sep = "," if any(i > 9 for i in idx) else ""
             names.append("S" + sep.join(str(i) for i in idx))
     return tuple(names)

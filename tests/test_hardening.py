@@ -323,8 +323,8 @@ class TestDenseCap:
         tree = CouplingTree.parse(_sequential_spec(24))
         label = CoupledLabel(tree, tuple(Spin(k) for k in range(2, 25)), SpinProjection(24))
         target = CouplingTree.parse(_balanced_spec(list(range(1, 25))))
-        stretched = CoupledLabel(target, tuple(Spin(len(target.node_particles(node)))
-                                               for node in target.internal_nodes()),
+        stretched = CoupledLabel(target, tuple(Spin(len(particles))
+                                               for particles in target.node_particles()),
                                  SpinProjection(24))
         start = time.perf_counter()
         assert recouple(label, target) == {stretched: 1.0}

@@ -412,3 +412,42 @@ class TestConnectedness:
             is_pair_connectable(named_state("w4"), 2, 2)
         with pytest.raises(ValueError):
             is_pair_connectable(named_state("singlet"), 1, 2)
+
+
+class TestToleranceBoundaries:
+    """One value just inside and one just outside each tolerance, so that a
+    tolerance moved by orders of magnitude changes a verdict."""
+
+    @pytest.mark.parametrize("excess,accepted", [(0.9e-12, True), (1.1e-12, False)])
+    def test_numeric_norm(self, excess, accepted):  # coupling._NORM_TOL = 1e-12
+        amplitudes = {1: np.sqrt(1.0 + excess)}
+        if accepted:
+            assert StateVector.numeric_state(1, amplitudes).n == 1
+        else:
+            with pytest.raises(ValueError, match="norm"):
+                StateVector.numeric_state(1, amplitudes)
+
+    @pytest.mark.parametrize("small,kept", [(1e-13, True), (0.9e-15, False)])
+    def test_from_array_drops_at_most_1e_15(self, small, kept):
+        state = StateVector.from_array(np.array([1.0, small]))
+        assert (config_from_string("d") in state.amplitudes) is kept
+        assert state.amplitudes[config_from_string("u")] == 1.0
+
+    @pytest.mark.parametrize("asymmetry,accepted", [(0.9e-12, True), (1.1e-12, False)])
+    def test_density_matrix_hermiticity(self, asymmetry, accepted):  # measures._DM_TOL
+        matrix = np.array([[0.5, 0.1 + asymmetry], [0.1, 0.5]])
+        if accepted:
+            assert DensityMatrix(matrix).dim == 2
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DensityMatrix(matrix)
+
+    @pytest.mark.parametrize("defect,verdict", [(0.9e-9, ThreeQubitClass.PRODUCT),
+                                                (1.1e-9, ThreeQubitClass.BISEPARABLE)])
+    def test_site_purity(self, defect, verdict):  # measures.PURITY_TOL = 1e-9
+        # (cos t |uu> + sin t |dd>) |u>: sites 1 and 2 have purity
+        # 1 - sin(2t)^2 / 2 = 1 - defect, site 3 is pure.
+        t = np.arcsin(np.sqrt(2 * defect)) / 2
+        state = StateVector.numeric_state(3, {config_from_string("uuu"): np.cos(t),
+                                              config_from_string("ddu"): np.sin(t)})
+        assert classify_three_qubit(state) is verdict

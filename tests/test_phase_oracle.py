@@ -79,8 +79,7 @@ def _top_failures(tree, basis):
     """(intermediates, node position) of each node whose |J, J> has a
     nonpositive overlap with |j1, j1>_L |j2, J - j1>_R."""
     postorder = tree._postorder
-    leaves, nodes = postorder
-    n = len(leaves)
+    nodes, n = postorder[1], tree.n
     memo = {}
     failures = []
     for members in _multiplets(basis):

@@ -15,6 +15,7 @@ the 9j formula.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from multiplets.cli import main
 from multiplets.coupling import (
     CoupledLabel,
     CouplingTree,
-    Node,
     Spin,
     SpinProjection,
     StateVector,
@@ -232,10 +232,11 @@ class TestFullBasisAgainstExpand:
 # Racah's formula for one rotation ((A B) C) <-> (A (B C))
 
 def _node_spins(label):
-    """Spin at every tree node of ``label``, leaves included. Distinct
-    particle sets make structurally distinct nodes, so value keys are safe."""
-    spins = {leaf: leaf.spin for leaf in label.tree.leaves()}
-    spins.update(zip(label.tree.internal_nodes(), label.intermediates))
+    """Spin at every tree node of ``label``, leaves included, keyed by the
+    node's particles in leaf order: a tree's nodes hold distinct particle
+    sets, so the keys are distinct."""
+    spins = {(index,): Spin(1) for index in label.tree.particles()}
+    spins.update(zip(label.tree.node_particles(), label.intermediates))
     return spins
 
 
@@ -273,14 +274,14 @@ def test_single_rotation_matches_six_j(parts):
     a_spec, b_spec, c_spec = parts
     source = CouplingTree.parse(f"(({a_spec} {b_spec}) {c_spec})")
     target = CouplingTree.parse(f"({a_spec} ({b_spec} {c_spec}))")
-    a_node, b_node = source.root.left.left, source.root.left.right
-    c_node = source.root.right
-    bc_node = target.root.right
-    assert isinstance(bc_node, Node)
+    # Each subtree's key: its particles in leaf order, as its spec lists them.
+    a_node, b_node, c_node, ab_node, bc_node = (
+        tuple(map(int, re.findall(r"\d+", spec)))
+        for spec in (a_spec, b_spec, c_spec, f"({a_spec} {b_spec})", f"({b_spec} {c_spec})"))
     for label in enumerate_multiplets(source):
         spins = _node_spins(label)
         a, b, c = (_j(spins[node]) for node in (a_node, b_node, c_node))
-        j_ab, total = _j(spins[source.root.left]), _j(label.total_spin)
+        j_ab, total = _j(spins[ab_node]), _j(label.total_spin)
         coefficients = recouple(label, target)
         expected = {}
         for two_j_bc in range(int(2 * abs(b - c)), int(2 * (b + c)) + 1, 2):
