@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace, out) -> int:
     if args.command == "table":
         tree = CouplingTree.parse(args.tree)
-        out.write(emit_table(tree, args.format).decode("utf-8"))
+        emit_table(tree, args.format, out)
         return 0
 
     if args.command == "verify":

@@ -18,9 +18,13 @@ look at its ``Node`` objects again.
 Expansion recurses top-down, and a memo keyed by (position, the
 subtree's doubled spins) holds each subtree expansion by 2m, except the
 root's. The memo lives for one call: one label in ``expand``, every
-label of the tree in ``full_basis``, the target's S sector at m = S in
-``recouple``. The price is memory, since ``full_basis`` holds every
-non-root subtree expansion until it returns.
+label of the tree in ``coupled_forms``, the target's S sector at m = S
+in ``recouple``. ``coupled_forms`` is the one loop over a tree's basis:
+it yields each state's integer form in enumeration order as it is
+built, and drops a memo entry of the leftmost chain once the walk has
+left that entry's prefix, so it holds one such entry per chain position
+and no state. ``table`` and ``verify`` read it; ``full_basis`` is the
+list of labels and states over it.
 
 Each coupled state, of a subtree or of the tree, is the only common
 eigenvector of integer Casimirs, so it is sqrt(r) times a vector of
@@ -71,6 +75,7 @@ __all__ = [
     "config_from_string",
     "enumerate_multiplets",
     "expand",
+    "coupled_forms",
     "full_basis",
     "recouple",
 ]
@@ -236,9 +241,10 @@ class Node:
 
 TreeNode = Union[Leaf, Node]
 
-# Most leaves a parsed tree spec may have. The parser and the expansion
-# recurse once per tree level, so this keeps them far below Python's
-# recursion limit; an expansion at this size could never finish anyway.
+# Most leaves a tree may have, parsed or built from ``Node`` objects. The
+# parser, ``spec``, the hash and the expansion recurse once per tree level,
+# so this keeps them far below Python's recursion limit; an expansion at
+# this size could never finish anyway.
 MAX_TREE_LEAVES = 64
 
 
@@ -318,27 +324,38 @@ class CouplingTree:
         Positions count the leaves, then the internal nodes in postorder. A
         subtree's internal nodes are contiguous and end at its own position
         p, so ``spins[first:p + 1]`` is its whole intermediate assignment.
-        One walk of the root builds both. It raises ValueError at a child
-        that is not a ``Leaf`` or a ``Node``, and at a leaf index that is
-        not an int, which ``spec`` could not write back.
+        One walk of the root builds both, without recursion. It raises
+        ValueError at a child that is not a ``Leaf`` or a ``Node``, at a
+        leaf index that is not an int, which ``spec`` could not write back,
+        and past MAX_TREE_LEAVES leaves, so that ``spec``, the hash and the
+        engine, which recurse once per tree level, never see a deeper tree.
         """
         particles: list[tuple[int, ...]] = []
         # Each internal node's two children; the k-th internal node in
         # postorder stands as -1 - k until the leaves are counted.
         children: list[tuple[int, int]] = []
-
-        def walk(node: TreeNode) -> int:
-            if isinstance(node, Node):
-                children.append((walk(node.left), walk(node.right)))
-                return -len(children)
-            if not isinstance(node, Leaf):
+        # An iterative walk: a node is pushed again, marked, below its
+        # children, and taken up once their references are on ``done``.
+        todo: list[tuple[object, bool]] = [(self.root, False)]
+        done: list[int] = []
+        while todo:
+            node, ready = todo.pop()
+            if ready:
+                right = done.pop()
+                children.append((done.pop(), right))
+                done.append(-len(children))
+            elif isinstance(node, Node):
+                todo += ((node, True), (node.right, False), (node.left, False))
+            elif not isinstance(node, Leaf):
                 raise ValueError(f"a tree holds Leaf and Node objects, got {node!r}")
-            if type(node.index) is not int:
+            elif type(node.index) is not int:
                 raise ValueError(f"leaf index must be an int, got {node.index!r}")
-            particles.append((node.index,))
-            return len(particles) - 1
-
-        walk(self.root)
+            elif len(particles) == MAX_TREE_LEAVES:
+                raise ValueError(f"a tree has more than {MAX_TREE_LEAVES} leaves; "
+                                 f"at most {MAX_TREE_LEAVES} are supported")
+            else:
+                particles.append((node.index,))
+                done.append(len(particles) - 1)
         n = len(particles)
         nodes: list[tuple[int, int, int]] = []
         for pos, pair in enumerate(children, n):
@@ -579,12 +596,9 @@ class StateVector:
             raise ValueError("a state needs at least one amplitude")
         dim = 1 << self.n
         if self.exact and integer:
-            if min(amps.ints) < 0 or max(amps.ints) >= dim:
-                raise ValueError(f"configuration out of range for {self.n} particles")
-            # r * sum(k^2) == 1 in ints; a Fraction only for the message.
-            ks, num, den = amps.ints.values(), amps.radicand.numerator, amps.radicand.denominator
-            squares = sum(map(operator.mul, ks, ks)) * num
-            norm2 = 1 if squares == den else Fraction(squares, den)
+            r = amps.radicand
+            _check_form(self.n, r.numerator, r.denominator, amps.ints, "exact state")
+            norm2 = 1
         else:
             cleaned: dict[int, object] = {}
             norm2 = Fraction(0) if self.exact else 0.0
@@ -823,15 +837,72 @@ def expand(label: CoupledLabel) -> StateVector:
     return _expansion(label, {})
 
 
-def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
-    """All 2**n coupled states of a tree, expanded exactly.
+def _check_form(n: int, p: int, q: int, ints: dict[int, int], what: str) -> None:
+    """The checks that ``StateVector`` makes on an engine state, in ints:
+    every mask in range for ``n`` particles and r * sum(k^2) == 1, with
+    r = p/q; a Fraction only for the message. Raises ValueError."""
+    if min(ints) < 0 or max(ints) >= 1 << n:
+        raise ValueError(f"configuration out of range for {n} particles")
+    ks = ints.values()
+    squares = sum(map(operator.mul, ks, ks)) * p
+    if squares != q:
+        raise ValueError(f"{what} has norm^2 = {Fraction(squares, q)}, expected 1")
 
-    One subtree memo serves all of the tree's labels and lives for this
-    call; it holds every non-root subtree expansion at once.
+
+# A coupled state in the engine's integer form: (doubled intermediate spins
+# postorder, two_m, p, q, {configuration bitmask: k}), amplitude sqrt(p/q) k.
+Form = tuple[tuple[int, ...], int, int, int, dict[int, int]]
+
+
+def coupled_forms(tree: CouplingTree) -> Iterator[Form]:
+    """Every coupled state of a tree in its integer form, in the order of
+    ``enumerate_multiplets``, one at a time.
+
+    Raises ValueError for a tree of one particle at the call, before
+    anything is expanded; a state that fails the checks of
+    ``StateVector`` raises when it is reached.
     """
-    memo: dict[tuple, dict] = {}
-    return [(label, _expansion(label, memo))
-            for label in enumerate_multiplets(tree)]
+    if not tree._postorder[1]:
+        raise ValueError("a coupled label needs a tree of at least two particles")
+    return _coupled_forms(tree, {})
+
+
+def _coupled_forms(tree: CouplingTree, memo: dict[tuple, dict]) -> Iterator[Form]:
+    """``coupled_forms`` over the subtree memo ``memo``.
+
+    The enumeration varies the earliest postorder spins slowest, so a
+    memo entry whose spin slice starts at the first internal position,
+    that of a subtree on the leftmost chain, is never read again once
+    the walk has left its prefix: it is dropped then. Each chain position
+    keeps at most one live entry; every other entry recurs and stays for
+    the call.
+    """
+    postorder, n = tree._postorder, tree.n
+    root, leaf_spins = 2 * n - 2, (1,) * n
+    # The internal positions on the leftmost chain below the root, whose
+    # memo key is (pos, intermediates[:pos - n + 1]).
+    chain = [pos for pos, (_, _, first) in enumerate(postorder[1][:-1], n) if first == n]
+    previous: tuple[int, ...] = ()
+    for total, intermediates in _assignments(tree):
+        for pos in chain:
+            prefix = previous[:pos - n + 1]
+            if prefix != intermediates[:pos - n + 1]:
+                memo.pop((pos, prefix), None)
+        previous = intermediates
+        spins = leaf_spins + intermediates
+        for two_m in range(total, -total - 1, -2):
+            p, q, ints = _expand_node(root, postorder, spins, two_m, memo)
+            _check_form(n, p, q, ints, "exact state")
+            yield intermediates, two_m, p, q, ints
+
+
+def full_basis(tree: CouplingTree) -> list[tuple[CoupledLabel, StateVector]]:
+    """All 2**n coupled states of a tree, expanded exactly: the labels and
+    states over ``coupled_forms``, in its order."""
+    spin = functools.cache(Spin)  # for this call: labels share their Spins
+    return [(CoupledLabel(tree, tuple(map(spin, intermediates)), SpinProjection(two_m)),
+             StateVector(tree.n, IntegerAmplitudes(Fraction(p, q), ints), True))
+            for intermediates, two_m, p, q, ints in coupled_forms(tree)]
 
 
 def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, float]:
@@ -867,13 +938,7 @@ def recouple(label: CoupledLabel, target: CouplingTree) -> dict[CoupledLabel, fl
     norm2 = Fraction(0)
     for _, intermediates in _assignments(target, two_s):
         p, q, ints = _expand_node(root, postorder, leaf_spins + intermediates, two_s, memo)
-        # The checks that ``StateVector`` makes on an engine state, in ints.
-        if min(ints) < 0 or max(ints) >= 1 << n:
-            raise ValueError(f"configuration out of range for {n} particles")
-        ks = ints.values()
-        squares = sum(map(operator.mul, ks, ks)) * p
-        if squares != q:
-            raise ValueError(f"target state has norm^2 = {Fraction(squares, q)}, expected 1")
+        _check_form(n, p, q, ints, "target state")
         small, large = sorted((source.ints, ints), key=len)
         dot = sum(k * large[mask] for mask, k in small.items() if mask in large)
         if dot:

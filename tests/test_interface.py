@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -8,6 +9,8 @@ from multiplets.coupling import CouplingTree, StateVector, config_from_string, c
 from multiplets.registry import available_states, named_state
 from multiplets.report import emit_table, run_measures, run_verify
 from multiplets.statefile import StateFileError, emit_state_file, parse_state_file
+
+from oracle_table import streamed_table
 
 PAIR = CouplingTree.parse("(1 2)")
 PAIR_PAIR = CouplingTree.parse("((1 2) (3 4))")
@@ -115,7 +118,7 @@ class TestRegistry:
 
 class TestEmitTable:
     def test_text_two_qubit_rows(self):
-        text = emit_table(PAIR, "text").decode()
+        text = streamed_table(PAIR, "text").decode()
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines == [
             "S=1 m=1  :  +1|uu>",
@@ -126,12 +129,12 @@ class TestEmitTable:
 
     def test_byte_stable(self):
         for fmt in ("text", "json", "latex"):
-            assert emit_table(PAIR_PAIR, fmt) == emit_table(PAIR_PAIR, fmt)
+            assert streamed_table(PAIR_PAIR, fmt) == streamed_table(PAIR_PAIR, fmt)
 
     def test_json_rows_match_full_basis(self):
         from multiplets.coupling import full_basis
 
-        doc = json.loads(emit_table(PAIR_PAIR, "json"))
+        doc = json.loads(streamed_table(PAIR_PAIR, "json"))
         basis = full_basis(PAIR_PAIR)
         assert len(doc["rows"]) == len(basis)
         for row, (label, state) in zip(doc["rows"], basis):
@@ -143,7 +146,7 @@ class TestEmitTable:
             }
 
     def test_json_dicke_row(self):
-        doc = json.loads(emit_table(PAIR_PAIR, "json"))
+        doc = json.loads(streamed_table(PAIR_PAIR, "json"))
         row = next(
             r for r in doc["rows"]
             if r["label"] == {"S12": "1", "S34": "1", "S": "2", "m": "0"}
@@ -155,14 +158,16 @@ class TestEmitTable:
         )
 
     def test_latex_uses_arrows(self):
-        tex = emit_table(PAIR, "latex").decode()
+        tex = streamed_table(PAIR, "latex").decode()
         assert r"\uparrow\downarrow" in tex
         assert r"\sqrt{\tfrac{1}{2}}" in tex
         assert tex.startswith(r"\begin{eqnarray}")
 
     def test_unknown_format(self):
+        out = io.StringIO()
         with pytest.raises(ValueError):
-            emit_table(PAIR, "csv")
+            emit_table(PAIR, "csv", out)
+        assert out.getvalue() == ""
 
 
 class TestRunVerify:

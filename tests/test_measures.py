@@ -451,3 +451,36 @@ class TestToleranceBoundaries:
         state = StateVector.numeric_state(3, {config_from_string("uuu"): np.cos(t),
                                               config_from_string("ddu"): np.sin(t)})
         assert classify_three_qubit(state) is verdict
+
+    @pytest.mark.parametrize("defect,product", [(0.9e-9, True), (1.1e-9, False)])
+    def test_branch_purity(self, defect, product):  # the 0.5 of measures._separable_rows
+        # The same state through the branch test: with PURITY_TOL / 2 as
+        # its bound it is product, persistency 0, exactly when the defect
+        # is at most PURITY_TOL; else one Z measurement on site 1 makes it so.
+        t = np.arcsin(np.sqrt(2 * defect)) / 2
+        state = StateVector.numeric_state(3, {config_from_string("uuu"): np.cos(t),
+                                              config_from_string("ddu"): np.sin(t)})
+        assert persistency(state) == (0 if product else 1)
+
+    @pytest.mark.parametrize("shortfall,connected", [(0.9e-9, True), (1.1e-9, False)])
+    def test_bell_pair(self, shortfall, connected):  # measures.BELL_TOL = 1e-9
+        # (cos t |uu> + sin t |dd>) |u>: every branch of a measurement on
+        # site 3 leaves sites 1 and 2 at concurrence sin(2t) = 1 - shortfall.
+        t = np.arcsin(1.0 - shortfall) / 2
+        state = StateVector.numeric_state(3, {config_from_string("uuu"): np.cos(t),
+                                              config_from_string("ddu"): np.sin(t)})
+        assert is_pair_connectable(state, 1, 2)[0] is connected
+
+    @pytest.mark.parametrize("tangle,verdict", [(0.9e-9, ThreeQubitClass.W),
+                                                (1.1e-9, ThreeQubitClass.GHZ)])
+    def test_residual_tangle(self, tangle, verdict):  # measures.TANGLE_TOL = 1e-9
+        # a (|udd> + |dud> + |ddu>) + b |uuu>: every site is mixed, and the
+        # hyperdeterminant is b a^3, so the tangle is 16 b a^3.
+        a = np.sqrt(1 / 3)
+        b = tangle / (16 * a ** 3)
+        a = np.sqrt((1 - b * b) / 3)
+        amplitudes = {config_from_string(c): a for c in ("udd", "dud", "ddu")}
+        amplitudes[config_from_string("uuu")] = b
+        state = StateVector.numeric_state(3, amplitudes)
+        assert three_tangle(state) == pytest.approx(tangle, rel=1e-6)
+        assert classify_three_qubit(state) is verdict

